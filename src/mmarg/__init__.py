@@ -34,7 +34,6 @@ from .oracle import MAX_ORACLE_ARGS, oracle_semantics, random_frame
 from .preferences import (
     InterPreference,
     IntraPreference,
-    PreferenceOrder,
     adjust,
     derive_inter,
 )
@@ -57,12 +56,10 @@ from .dynamics import (
     TrustPolicy,
     Verdict,
     announce,
-    apply_policy,
     check_announcement,
     detect,
-    detection_matrix,
     restrict_extensions,
-    revise,
+    step,
     update,
 )
 from .scenario import (

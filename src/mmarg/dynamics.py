@@ -8,13 +8,17 @@ both restricted to the announced arguments from the subject's scope.
 Disjoint restrictions certify deception; exact agreement on arguments the
 viewer knows factual certifies honesty; anything else stays undetermined.
 Detected verdicts move the trust matrix by a policy's step sizes.
+
+:func:`step` is that whole replay step, done once: announce, the verdict
+matrix on the announced state, trust revision.  :func:`update` is its
+revised state and :func:`detect` one entry of its verdict matrix.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .frames import UNION, ArgumentationFrame, combine
 from .preferences import IntraPreference
@@ -164,37 +168,33 @@ def detect(m: MmaState, viewer: str, subject: str, ev: AnnouncementEvent) -> Ver
     return _verdict(m2, viewer, subject, ev.payload)
 
 
-def detection_matrix(m: MmaState, ev: AnnouncementEvent) -> dict[Pair, Verdict]:
-    """Verdicts for every ordered pair of distinct agents, in one pass."""
+def step(
+    m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy
+) -> tuple[MmaState, dict[Pair, Verdict], MmaState]:
+    """One replay step, returning (announced state, verdicts, revised state).
+
+    The event is checked and merged once; every ordered pair of distinct
+    agents is judged on the announced state; each verdict then shifts its
+    pair's trust by the policy.  Revision moves trust and nothing else.
+    Raises :class:`AnnouncementError` for an invalid event.
+    """
     _, _, m2 = announce(m, ev)
     order = sorted(m.agents)
-    return {
+    verdicts = {
         (v, s): _verdict(m2, v, s, ev.payload)
         for v in order
         for s in order
         if v != s
     }
-
-
-def apply_policy(m2: MmaState, verdicts: Mapping[Pair, Verdict], policy: TrustPolicy) -> MmaState:
-    """Shift trust per verdict for every distinct ordered pair; nothing else moves."""
     trust = dict(m2.trust)
-    for (v, s), verdict in verdicts.items():
-        if v == s:
-            continue
+    for pair, verdict in verdicts.items():
         if verdict is Verdict.HONEST:
-            trust[(v, s)] += policy.delta_honest
+            trust[pair] += policy.delta_honest
         elif verdict is Verdict.DISHONEST:
-            trust[(v, s)] -= policy.delta_dishonest
-    return replace(m2, trust=trust)
-
-
-def revise(m1: MmaState, ev: AnnouncementEvent, m2: MmaState, policy: TrustPolicy = TrustPolicy()) -> MmaState:
-    """Move trust per detected verdicts; every other field of ``m2`` is kept."""
-    return apply_policy(m2, detection_matrix(m1, ev), policy)
+            trust[pair] -= policy.delta_dishonest
+    return m2, verdicts, replace(m2, trust=trust)
 
 
 def update(m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy = TrustPolicy()) -> MmaState:
-    """Announcement followed by trust revision."""
-    m1, ev, m2 = announce(m, ev)
-    return revise(m1, ev, m2, policy)
+    """Announcement followed by trust revision: the revised state of :func:`step`."""
+    return step(m, ev, policy)[2]

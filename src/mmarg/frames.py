@@ -68,14 +68,6 @@ class ArgumentationFrame:
 EMPTY_FRAME = ArgumentationFrame(frozenset(), frozenset())
 
 
-def infer_kind(args: frozenset[str], attacks: frozenset[Attack]) -> str:
-    """``dung`` when every attack endpoint lies inside ``args``."""
-    for s, t in attacks:
-        if s not in args or t not in args:
-            return PRE_DUNG
-    return DUNG
-
-
 def restrict(f: ArgumentationFrame, keep: Iterable[str]) -> ArgumentationFrame:
     """Drop every argument outside ``keep`` and every attack that leaves the cut."""
     kept = f.args & frozenset(keep)

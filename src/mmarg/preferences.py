@@ -1,11 +1,13 @@
-"""Preference orders over arguments and attack reversal.
+"""Preferences over arguments and attack reversal.
 
-Two kinds of order matter here.  An agent's own fact/guess split (one tier
-of arguments it knows to be factual, everything else below) drives spurious
-attack elimination before any reasoning; a trust-derived order between
-other agents' publicly conflicting arguments breaks ties the facts cannot.
-Both reduce to the same operation: an attack coming out of a strictly less
-preferred argument is reversed.
+Two kinds of preference matter here.  An agent's own fact/guess split (one
+tier of arguments it knows to be factual, everything else below) drives
+spurious attack elimination before any reasoning; a trust-derived order
+between other agents' publicly conflicting arguments breaks ties the facts
+cannot.  Both act the same way, as in preference-based argumentation
+frameworks: an attack coming out of a strictly less preferred argument is
+reversed.  So each preference only answers ``strictly_less(a, b)``, which
+``adjust`` asks once per attack; no order is ever enumerated.
 """
 
 from __future__ import annotations
@@ -17,29 +19,6 @@ from .frames import Attack, ArgumentationFrame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import MmaState
-
-
-@dataclass(frozen=True)
-class PreferenceOrder:
-    """A partial order kept as its strict part only.
-
-    Reflexive pairs and equivalences never influence attack reversal, so
-    they are not stored.
-    """
-
-    strict: frozenset[Attack]
-
-    @classmethod
-    def of(cls, pairs: Iterable[Attack] = ()) -> PreferenceOrder:
-        return cls(frozenset((a, b) for a, b in pairs))
-
-    @classmethod
-    def from_leq(cls, leq: Iterable[Attack]) -> PreferenceOrder:
-        leq = frozenset(leq)
-        return cls(frozenset((a, b) for a, b in leq if (b, a) not in leq))
-
-    def strictly_less(self, a: str, b: str) -> bool:
-        return (a, b) in self.strict
 
 
 @dataclass(frozen=True)
@@ -61,23 +40,22 @@ class IntraPreference:
     def of(cls, factual: Iterable[str], universe: Iterable[str]) -> IntraPreference:
         return cls(frozenset(factual), frozenset(universe))
 
-    def to_order(self) -> PreferenceOrder:
-        strict = frozenset((a, b) for a in self.universe - self.factual for b in self.factual)
-        return PreferenceOrder(strict)
+    def strictly_less(self, a: str, b: str) -> bool:
+        return b in self.factual and a in self.universe and a not in self.factual
 
 
 @dataclass(frozen=True)
 class InterPreference:
-    """Trust-derived order for one observer, stored as its raw leq pairs."""
+    """Trust-derived order for one observer, kept as its strict pairs only."""
 
     owner: str
-    leq: frozenset[Attack]
+    strict: frozenset[Attack]
 
-    def to_order(self) -> PreferenceOrder:
-        return PreferenceOrder.from_leq(self.leq)
+    def strictly_less(self, a: str, b: str) -> bool:
+        return (a, b) in self.strict
 
 
-def adjust(f: ArgumentationFrame, order: PreferenceOrder) -> ArgumentationFrame:
+def adjust(f: ArgumentationFrame, order: IntraPreference | InterPreference) -> ArgumentationFrame:
     """Reverse every attack whose source is strictly less preferred than its target.
 
     The argument set never changes; a reversed attack may coincide with an
@@ -94,9 +72,10 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
 
     A pair of arguments qualifies when they attack each other publicly, each
     lies in some agent's scope and inside ``e``'s awareness, and ``e`` holds
-    neither to be factual; the argument of the less trusted owner then sits
-    below the other's.  Recomputed on demand: both the public record and the
-    trust matrix move under updates.
+    neither to be factual; the argument of the strictly less trusted owner
+    then sits below the other's, and equally trusted owners leave the pair
+    unordered.  Recomputed on demand: both the public record and the trust
+    matrix move under updates.
     """
     if e not in m.agents:
         raise ValueError(f"unknown agent: {e!r}")
@@ -107,7 +86,7 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
     aware_args = m.aware[e].args
     factual = m.intra[(e, e)].factual
     pub = m.public_af.attacks
-    leq = set()
+    strict = set()
     for a1, a2 in pub:
         if (a2, a1) not in pub:
             continue
@@ -117,6 +96,6 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
             continue
         if a1 in factual or a2 in factual:
             continue
-        if m.trust[(e, owner[a1])] <= m.trust[(e, owner[a2])]:
-            leq.add((a1, a2))
-    return InterPreference(e, frozenset(leq))
+        if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
+            strict.add((a1, a2))
+    return InterPreference(e, frozenset(strict))

@@ -19,16 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, IO, Mapping
 
-from .dynamics import (
-    AnnouncementEvent,
-    TrustPolicy,
-    Verdict,
-    announce,
-    apply_policy,
-    check_announcement,
-    detection_matrix,
-    update,
-)
+from .dynamics import AnnouncementError, AnnouncementEvent, TrustPolicy, Verdict, step, update
 from .frames import DUNG, PRE_DUNG, ArgumentationFrame
 from .preferences import IntraPreference
 from .semantics import ExtensionSet, SemanticsKind, semantics, sorted_extensions
@@ -105,6 +96,10 @@ def _expect(cond: bool, msg: str) -> None:
         raise ScenarioParseError(msg)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_attacks(raw: Any, where: str) -> frozenset[tuple[str, str]]:
     _expect(isinstance(raw, list), f"{where} must be a list of [source, target] pairs")
     out = set()
@@ -148,6 +143,7 @@ def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
 
     decls: list[ArgumentDecl] = []
     seen: set[str] = set()
+    _expect(isinstance(doc["arguments"], list), "arguments must be a list of declarations")
     for raw in doc["arguments"]:
         _expect(isinstance(raw, dict) and isinstance(raw.get("id"), str) and isinstance(raw.get("owner"), str),
                 f"bad argument declaration {raw!r}")
@@ -164,7 +160,7 @@ def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
     listed_in: dict[str, list[str]] = {}
     for e in agents:
         listed = scopes_raw[e]
-        _expect(isinstance(listed, list), f"scope of {e} must be a list of ids")
+        _expect(isinstance(listed, list) and all(isinstance(a, str) for a in listed), f"scope of {e} must be a list of ids")
         for a in listed:
             listed_in.setdefault(a, []).append(e)
     overlaps = [
@@ -221,13 +217,15 @@ def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
     trust_raw = _matrix(doc["trust"], agents, "trust")
     trust: dict[Pair, int] = {}
     for pair, value in trust_raw.items():
-        _expect(isinstance(value, int) and not isinstance(value, bool), f"trust{pair} must be an integer")
+        _expect(_is_int(value), f"trust{pair} must be an integer")
         if abs(value) > trust_cap:
             violations.append(Violation("trust range", f"trust{pair} = {value} exceeds the cap {trust_cap}"))
         trust[pair] = value
 
     overrides: dict[Pair, ArgumentationFrame] = {}
-    for v, row in doc.get("omega_overrides", {}).items():
+    overrides_raw = doc.get("omega_overrides", {})
+    _expect(isinstance(overrides_raw, dict), "omega_overrides must map viewer -> subject -> frame")
+    for v, row in overrides_raw.items():
         _expect(v in scopes_raw, f"omega override row for unknown agent {v!r}")
         _expect(isinstance(row, dict), f"omega overrides of {v} must be an object")
         for s, raw in row.items():
@@ -250,6 +248,7 @@ def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
         raise ScenarioValidationError(violations)
 
     script = []
+    _expect(isinstance(doc["script"], list), "script must be a list of events")
     for i, raw in enumerate(doc["script"], 1):
         _expect(isinstance(raw, dict), f"script step {i} must be an object")
         announcers = raw.get("announcers", [])
@@ -262,9 +261,11 @@ def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
 
     policy_raw = doc.get("policy", {})
     _expect(isinstance(policy_raw, dict), "policy must be an object")
+    deltas = [policy_raw.get(key, 1) for key in ("honest", "dishonest")]
+    _expect(all(_is_int(d) for d in deltas), "policy steps must be integers")
     try:
-        policy = TrustPolicy(int(policy_raw.get("honest", 1)), int(policy_raw.get("dishonest", 1)))
-    except (TypeError, ValueError) as exc:
+        policy = TrustPolicy(*deltas)
+    except ValueError as exc:
         raise ScenarioParseError(f"bad policy: {exc}") from exc
 
     return Scenario(tuple(decls), initial, tuple(script), policy, str(doc.get("notes", "")))
@@ -346,7 +347,7 @@ def dumps_scenario(sc: Scenario) -> str:
 # Replay.
 
 def run(sc: Scenario, with_semantics: bool = False) -> Trace:
-    """Fold the script over the initial state, recording every step.
+    """Fold :func:`~mmarg.dynamics.step` over the script, recording every step.
 
     Replay halts at the first invalid event with the violations as the
     trace's diagnostic; the steps before it stay recorded.
@@ -354,12 +355,10 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
     m = sc.initial
     steps: list[TraceStep] = []
     for k, ev in enumerate(sc.script, 1):
-        problems = check_announcement(m, ev)
-        if problems:
-            return Trace(tuple(steps), m, error_step=k, error=tuple(str(p) for p in problems))
-        verdicts = detection_matrix(m, ev)
-        _, _, m2 = announce(m, ev)
-        m3 = apply_policy(m2, verdicts, sc.policy)
+        try:
+            m2, verdicts, m3 = step(m, ev, sc.policy)
+        except AnnouncementError as exc:
+            return Trace(tuple(steps), m, error_step=k, error=tuple(str(v) for v in exc.violations))
         extras = None
         if with_semantics:
             extras = {
@@ -386,7 +385,11 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
 
 
 def state_at(sc: Scenario, step: int) -> MmaState:
-    """The state after ``step`` script events (0 = the initial state)."""
+    """The state after ``step`` script events (0 = the initial state).
+
+    Folds :func:`~mmarg.dynamics.update`, the revised state of each step,
+    over exactly the first ``step`` events.
+    """
     if step < 0 or step > len(sc.script):
         raise ValueError(f"step {step} outside 0..{len(sc.script)}")
     m = sc.initial

@@ -180,19 +180,19 @@ def perceived(m: MmaState, viewer: str, subject: str) -> PerceivedFrame:
 def adjusted_perceived(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
     """The perceived frame with the viewer's fact split for the subject applied."""
     frame = perceived(m, viewer, subject).frame
-    return adjust(frame, m.intra[(viewer, subject)].to_order())
+    return adjust(frame, m.intra[(viewer, subject)])
 
 
 def public_model(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
     """The public record as the viewer reads it on the subject's behalf."""
     if viewer not in m.agents or subject not in m.agents:
         raise ValueError(f"unknown agent pair ({viewer},{subject})")
-    return adjust(m.public_af, m.intra[(viewer, subject)].to_order())
+    return adjust(m.public_af, m.intra[(viewer, subject)])
 
 
 def trust_adjusted_public_model(m: MmaState, e: str) -> ArgumentationFrame:
     """The agent's own public model with its trust order applied on top."""
-    return adjust(public_model(m, e, e), derive_inter(m, e).to_order())
+    return adjust(public_model(m, e, e), derive_inter(m, e))
 
 
 def trust_neutral_public_semantics(m: MmaState, viewer: str, subject: str) -> ExtensionSet:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mmarg.cli import EX_ANNOUNCEMENT, EX_OK, EX_PARSE, EX_USAGE, EX_VALIDATION, main
-from mmarg.scenario import dumps_scenario, fixture_path
+from mmarg.scenario import ScenarioParseError, dumps_scenario, fixture_path, parse_scenario
 
 from conftest import load_bundled
 
@@ -42,6 +42,27 @@ def test_validate_reports_violations(tmp_path, capsys):
     doc["trust"]["e1"]["e3"] = 99999
     assert main(["validate", write_doc(tmp_path, doc)]) == EX_VALIDATION
     assert "trust range" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "arguments not a list": lambda doc: doc.update(arguments=5),
+    "omega_overrides not an object": lambda doc: doc.update(omega_overrides=[]),
+    "integer scope id": lambda doc: doc["scopes"]["e1"].append(7),
+    "list scope id": lambda doc: doc["scopes"]["e1"].append([1]),
+    "script not a list": lambda doc: doc.update(script={}),
+    "fractional policy step": lambda doc: doc.update(policy={"honest": 1.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_a_parse_error(case, tmp_path, capsys):
+    doc = json.loads(dumps_scenario(load_bundled("mafia_endgame")))
+    MALFORMED[case](doc)
+    with pytest.raises(ScenarioParseError):
+        parse_scenario(doc)
+    assert main(["validate", write_doc(tmp_path, doc)]) == EX_PARSE
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
 
 
 def test_run_writes_trace(tmp_path, capsys):

@@ -11,9 +11,8 @@ from mmarg.dynamics import (
     announce,
     check_announcement,
     detect,
-    detection_matrix,
     restrict_extensions,
-    revise,
+    step,
     update,
 )
 from mmarg.frames import PRE_DUNG, ArgumentationFrame
@@ -118,37 +117,41 @@ def test_detect_payload_outside_subject_scope_is_undetermined(mafia):
 
 def test_detection_matrix_covers_distinct_pairs(mafia):
     m = state_at(mafia, 2)
-    matrix = detection_matrix(m, mafia.script[2])
+    _, matrix, _ = step(m, mafia.script[2], mafia.policy)
     agents = sorted(m.agents)
     assert set(matrix) == {(v, s) for v in agents for s in agents if v != s}
+    for (v, s), verdict in matrix.items():
+        assert detect(m, v, s, mafia.script[2]) is verdict
 
 
 def test_revise_moves_only_trust(mafia):
     m = state_at(mafia, 2)
-    m1, event, m2 = announce(m, mafia.script[2])
-    m3 = revise(m1, event, m2, TrustPolicy(1, 1))
+    m2, _, m3 = step(m, mafia.script[2], TrustPolicy(1, 1))
     assert m3.trust[("e2", "e1")] == m2.trust[("e2", "e1")] - 1
     assert replace(m3, trust=m2.trust) == m2
 
 
-def test_revise_scales_with_policy(mafia):
+def test_revise_scales_with_policy(mafia, mafia_dprime):
     m = state_at(mafia, 2)
-    m1, event, m2 = announce(m, mafia.script[2])
-    m3 = revise(m1, event, m2, TrustPolicy(2, 5))
+    m2, _, m3 = step(m, mafia.script[2], TrustPolicy(2, 5))
     assert m3.trust[("e2", "e1")] == m2.trust[("e2", "e1")] - 5
+    # In the confession variant e2 finds e1 honest at step 3.
+    m2, _, m3 = step(state_at(mafia_dprime, 2), mafia_dprime.script[2], TrustPolicy(2, 5))
+    assert m3.trust[("e2", "e1")] == m2.trust[("e2", "e1")] + 2
 
 
 def test_all_undetermined_leaves_trust_unchanged(mafia):
     m = mafia.initial
-    m1, event, m2 = announce(m, mafia.script[0])
-    assert revise(m1, event, m2, TrustPolicy(1, 1)).trust == m.trust
+    _, matrix, m3 = step(m, mafia.script[0], TrustPolicy(1, 1))
+    assert set(matrix.values()) == {Verdict.UNDETERMINED}
+    assert m3.trust == m.trust
 
 
 def test_update_composes_announce_and_revise(mafia):
     m = state_at(mafia, 2)
-    got = update(m, mafia.script[2], mafia.policy)
-    m1, event, m2 = announce(m, mafia.script[2])
-    assert got == revise(m1, event, m2, mafia.policy)
+    m2, _, m3 = step(m, mafia.script[2], mafia.policy)
+    assert m2 == announce(m, mafia.script[2])[2]
+    assert update(m, mafia.script[2], mafia.policy) == m3
 
 
 def test_update_differs_from_input_on_fixture_steps(mafia):
@@ -200,8 +203,7 @@ def test_honest_and_dishonest_conditions_are_mutually_exclusive():
         event = random_announcement(rng, m)
         if event is None:
             continue
-        matrix = detection_matrix(m, event)
-        _, _, m2 = announce(m, event)
+        m2, matrix, _ = step(m, event, TrustPolicy())
         for (v, s), verdict in matrix.items():
             checked = event.payload.args & m2.scope[s].args
             if not checked:

@@ -9,7 +9,6 @@ from mmarg.frames import (
     UNION,
     ArgumentationFrame,
     combine,
-    infer_kind,
     restrict,
 )
 
@@ -41,11 +40,6 @@ def test_empty_argument_id_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         f(["a1"], kind="other")
-
-
-def test_infer_kind():
-    assert infer_kind(frozenset({"a1", "a2"}), frozenset({("a1", "a2")})) == DUNG
-    assert infer_kind(frozenset({"a1"}), frozenset({("a1", "a2")})) == PRE_DUNG
 
 
 def test_restrict_drops_cut_attacks():

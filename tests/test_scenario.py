@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,10 @@ from mmarg.scenario import (
     state_at,
 )
 from mmarg.semantics import SemanticsKind, sorted_extensions
+
+from conftest import load_bundled
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def base_doc(mafia) -> dict:
@@ -161,3 +166,19 @@ def test_query_kind_override(mafia):
     m = state_at(mafia, 0)
     # Complete semantics of the empty public record is just the empty set.
     assert sorted_extensions(query(m, "e1", "e1", "public", SemanticsKind.COMPLETE)) == [[]]
+
+
+def _golden_scenario(name: str) -> Scenario:
+    if name == "mafia_endgame_repeat_step3":
+        # Step 3 announced again halts the replay at step 5.
+        sc = load_bundled("mafia_endgame")
+        return Scenario(sc.arguments, sc.initial, sc.script + (sc.script[2],), sc.policy, sc.notes)
+    return load_bundled(name)
+
+
+@pytest.mark.parametrize("name", bundled_scenarios() + ["mafia_endgame_repeat_step3"])
+def test_run_trace_matches_golden_file(name):
+    # The files pin `mmarg run NAME --with-semantics` output; any byte of
+    # drift is a behaviour change.
+    want = (GOLDEN / f"trace_{name}.json").read_text(encoding="utf-8")
+    assert dumps_trace(run(_golden_scenario(name), with_semantics=True)) == want
