@@ -38,8 +38,8 @@ from .preferences import (
     derive_inter,
 )
 from .state import (
+    VIEWS,
     MmaState,
-    PerceivedFrame,
     Violation,
     adjusted_perceived,
     perceived,
@@ -49,6 +49,7 @@ from .state import (
     trust_neutral_local_semantics,
     trust_neutral_public_semantics,
     validate,
+    view,
 )
 from .dynamics import (
     AnnouncementError,

@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation failure, 2 invalid announcement during
-a run, 3 parse error (64 for usage errors).
+Exit codes: 0 success, 1 validation failure, 2 invalid announcement during a
+run, 3 parse error or a file that cannot be opened (64 for usage errors).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -28,6 +29,7 @@ from .scenario import (
 )
 from .semantics import SemanticsKind, semantics, sorted_extensions
 from .export import export_graph
+from .state import VIEWS
 
 EX_OK = 0
 EX_VALIDATION = 1
@@ -108,8 +110,6 @@ def cmd_query(ns) -> int:
 def cmd_export(ns) -> int:
     sc = _load(ns.file)
     m = state_at(sc, ns.at)
-    if ns.format != "graph":
-        raise ScenarioParseError(f"unknown export format {ns.format!r}")
     text = export_graph(m, ns.view, _labels(sc))
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
@@ -138,6 +138,7 @@ def cmd_oracle_check(ns) -> int:
     return EX_OK if mismatches == 0 else EX_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mmarg", description="Manipulable multi-agent argumentation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,14 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=int, default=0, help="state after this many script steps")
     p.add_argument("--viewer", required=True)
     p.add_argument("--subject")
-    p.add_argument("--view", required=True, choices=["public", "local", "trust-adjusted"])
+    p.add_argument("--view", required=True, choices=list(dict.fromkeys(name for name, n in VIEWS if n)))
     p.add_argument("--kind", choices=[k.value for k in SemanticsKind], help="override the scenario's semantics kind")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("export", help="export a view as a DOT graph")
     p.add_argument("file")
     p.add_argument("--at", type=int, default=0)
-    p.add_argument("--view", required=True, help="public | global | aware:E | perceived:V:S | adjusted:V:S | trust-adjusted:E")
+    p.add_argument("--view", required=True, help=" | ".join(name + ("", ":E", ":V:S")[n] for name, n in VIEWS))
     p.add_argument("--format", default="graph", choices=["graph"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_export)
@@ -195,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except AnnouncementError as exc:
         print(f"invalid announcement: {exc}", file=sys.stderr)
         return EX_ANNOUNCEMENT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_PARSE
     except ValueError as exc:

@@ -2,40 +2,14 @@
 
 One node per argument, one directed edge per attack; publicly announced
 arguments are drawn filled and each agent's scope arguments are grouped in
-a cluster.  View selectors:
-
-    public                 the public record
-    global                 the whole global frame
-    aware:E                agent E's awareness frame
-    perceived:V:S          V's model of S's argumentation
-    adjusted:V:S           the same, fact-adjusted
-    trust-adjusted:E       E's public model with its trust order applied
+a cluster.  A selector is a view name from :data:`mmarg.state.VIEWS`
+followed by its agents, separated by colons (``adjusted:e2:e1``).
 """
 
 from __future__ import annotations
 
 from .frames import ArgumentationFrame
-from .state import MmaState, adjusted_perceived, perceived, trust_adjusted_public_model
-
-
-def select_view(m: MmaState, selector: str) -> ArgumentationFrame:
-    parts = selector.replace("trust_adjusted", "trust-adjusted").split(":")
-    name = parts[0]
-    if name == "public" and len(parts) == 1:
-        return m.public_af
-    if name == "global" and len(parts) == 1:
-        return m.global_af
-    if name == "aware" and len(parts) == 2:
-        if parts[1] not in m.agents:
-            raise ValueError(f"unknown agent {parts[1]!r}")
-        return m.aware[parts[1]]
-    if name == "perceived" and len(parts) == 3:
-        return perceived(m, parts[1], parts[2]).frame
-    if name == "adjusted" and len(parts) == 3:
-        return adjusted_perceived(m, parts[1], parts[2])
-    if name == "trust-adjusted" and len(parts) == 2:
-        return trust_adjusted_public_model(m, parts[1])
-    raise ValueError(f"unknown view selector {selector!r}")
+from .state import MmaState, view
 
 
 def _quote(s: str) -> str:
@@ -75,4 +49,5 @@ def _node_line(arg: str, label: str, public: bool) -> str:
 
 
 def export_graph(m: MmaState, selector: str, labels: dict[str, str] | None = None) -> str:
-    return to_dot(m, select_view(m, selector), labels, title=selector)
+    name, *agents = selector.split(":")
+    return to_dot(m, view(m, name, *agents), labels, title=selector)

@@ -24,20 +24,16 @@ from .frames import DUNG, PRE_DUNG, ArgumentationFrame
 from .preferences import IntraPreference
 from .semantics import ExtensionSet, SemanticsKind, semantics, sorted_extensions
 from .state import (
+    VIEWS,
     MmaState,
     Pair,
     Violation,
-    adjusted_perceived,
-    public_model,
-    trust_adjusted_public_model,
+    trust_adjusted_public_semantics,
     validate,
 )
+from . import state
 
 DEFAULT_TRUST_CAP = 1000
-
-PUBLIC_VIEW = "public"
-LOCAL_VIEW = "local"
-TRUST_ADJUSTED_VIEW = "trust_adjusted"
 
 
 class ScenarioParseError(ValueError):
@@ -275,11 +271,9 @@ def load_scenario(source: str | bytes | IO, trust_cap: int = DEFAULT_TRUST_CAP) 
     """Parse a scenario from text, bytes or a readable stream."""
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, overlong integers, deep nesting
         raise ScenarioParseError(f"invalid JSON: {exc}") from exc
     return parse_scenario(doc, trust_cap)
 
@@ -306,8 +300,11 @@ def _frame_doc(f: ArgumentationFrame) -> dict:
     return {"args": f.sorted_args(), "attacks": [list(p) for p in f.sorted_attacks()]}
 
 
-def _matrix_doc(values: Mapping[Pair, Any], agents: list[str], conv=lambda x: x) -> dict:
-    return {v: {s: conv(values[(v, s)]) for s in agents} for v in agents}
+def _pair_matrix_doc(values: Mapping[Pair, Any], conv=lambda x: x) -> dict:
+    out: dict[str, dict[str, Any]] = {}
+    for (v, s), value in sorted(values.items()):
+        out.setdefault(v, {})[s] = conv(value)
+    return out
 
 
 def scenario_to_doc(sc: Scenario) -> dict:
@@ -320,9 +317,9 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "scopes": {e: m.scope[e].sorted_args() for e in agents},
         "awareness": {e: _frame_doc(m.aware[e]) for e in agents},
         "public": _frame_doc(m.public_af),
-        "gsem": _matrix_doc(m.sem_model, agents, lambda k: k.value),
-        "factual": _matrix_doc(m.intra, agents, lambda p: sorted(p.factual)),
-        "trust": _matrix_doc(m.trust, agents),
+        "gsem": _pair_matrix_doc(m.sem_model, lambda k: k.value),
+        "factual": _pair_matrix_doc(m.intra, lambda p: sorted(p.factual)),
+        "trust": _pair_matrix_doc(m.trust),
         "omega_overrides": {},
         "script": [
             {
@@ -359,12 +356,7 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
             m2, verdicts, m3 = step(m, ev, sc.policy)
         except AnnouncementError as exc:
             return Trace(tuple(steps), m, error_step=k, error=tuple(str(v) for v in exc.violations))
-        extras = None
-        if with_semantics:
-            extras = {
-                e: semantics(m3.sem_model[(e, e)], trust_adjusted_public_model(m3, e))
-                for e in sorted(m3.agents)
-            }
+        extras = {e: trust_adjusted_public_semantics(m3, e) for e in sorted(m3.agents)} if with_semantics else None
         steps.append(
             TraceStep(
                 index=k,
@@ -399,32 +391,20 @@ def state_at(sc: Scenario, step: int) -> MmaState:
 
 
 def query(m: MmaState, viewer: str, subject: str | None, view: str, kind: SemanticsKind | None = None) -> ExtensionSet:
-    """Extension sets of one of the three standard views of a state."""
-    view = view.replace("-", "_")
-    subject = subject if subject is not None else viewer
-    if view == PUBLIC_VIEW:
-        frame = public_model(m, viewer, subject)
-        default = m.sem_model[(viewer, subject)]
-    elif view == LOCAL_VIEW:
-        frame = adjusted_perceived(m, viewer, subject)
-        default = m.sem_model[(viewer, subject)]
-    elif view == TRUST_ADJUSTED_VIEW:
-        frame = trust_adjusted_public_model(m, viewer)
-        default = m.sem_model[(viewer, viewer)]
+    """Extension sets of a view of :data:`~mmarg.state.VIEWS`: a one-agent view reads ``viewer``, a
+    two-agent view ``viewer``'s model of ``subject`` (default ``viewer``).  The kind defaults to what
+    the first agent assumes the last one applies.
+    """
+    if (view.replace("_", "-"), 1) in VIEWS:
+        agents = (viewer,)
     else:
-        raise ValueError(f"unknown view {view!r}")
-    return semantics(kind if kind is not None else default, frame)
+        agents = (viewer, subject if subject is not None else viewer)
+    frame = state.view(m, view, *agents)
+    return semantics(kind if kind is not None else m.sem_model[(agents[0], agents[-1])], frame)
 
 
 # ---------------------------------------------------------------------------
 # Trace serialization.
-
-def _pair_matrix_doc(values: Mapping[Pair, Any], conv=lambda x: x) -> dict:
-    out: dict[str, dict[str, Any]] = {}
-    for (v, s), value in sorted(values.items()):
-        out.setdefault(v, {})[s] = conv(value)
-    return out
-
 
 def trace_to_doc(trace: Trace) -> dict:
     doc: dict[str, Any] = {

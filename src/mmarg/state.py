@@ -7,13 +7,14 @@ the trust matrix.  Snapshots are immutable; announcement dynamics build new
 ones (see :mod:`mmarg.dynamics`).
 
 ``validate`` reports structural violations as data rather than raising, so
-a loader can list everything wrong with a scenario at once.
+a loader can list everything wrong with a scenario at once.  Every view a
+state is read through is named in one table, :data:`VIEWS`, read by :func:`view`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .frames import DUNG, INTERSECTION, UNION, ArgumentationFrame, combine
 from .preferences import IntraPreference, adjust, derive_inter
@@ -53,15 +54,6 @@ class MmaState:
     intra: Mapping[Pair, IntraPreference]
     trust: Mapping[Pair, int]
     overrides: Mapping[Pair, ArgumentationFrame] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PerceivedFrame:
-    """One agent's model of another agent's argumentation."""
-
-    viewer: str
-    subject: str
-    frame: ArgumentationFrame
 
 
 def _pairs(agents: frozenset[str]) -> list[Pair]:
@@ -161,7 +153,7 @@ def validate(m: MmaState) -> list[Violation]:
     return out
 
 
-def perceived(m: MmaState, viewer: str, subject: str) -> PerceivedFrame:
+def perceived(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
     """The viewer's model of the subject's argumentation.
 
     Exactly the viewer's own awareness when looking at itself; otherwise an
@@ -170,17 +162,15 @@ def perceived(m: MmaState, viewer: str, subject: str) -> PerceivedFrame:
     if viewer not in m.agents or subject not in m.agents:
         raise ValueError(f"unknown agent pair ({viewer},{subject})")
     if viewer == subject:
-        return PerceivedFrame(viewer, subject, m.aware[viewer])
-    om = m.overrides.get((viewer, subject))
-    if om is not None:
-        return PerceivedFrame(viewer, subject, om)
-    return PerceivedFrame(viewer, subject, perceived_lower_bound(m, viewer, subject))
+        return m.aware[viewer]
+    if (viewer, subject) in m.overrides:
+        return m.overrides[(viewer, subject)]
+    return perceived_lower_bound(m, viewer, subject)
 
 
 def adjusted_perceived(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
     """The perceived frame with the viewer's fact split for the subject applied."""
-    frame = perceived(m, viewer, subject).frame
-    return adjust(frame, m.intra[(viewer, subject)])
+    return adjust(perceived(m, viewer, subject), m.intra[(viewer, subject)])
 
 
 def public_model(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
@@ -208,3 +198,32 @@ def trust_neutral_local_semantics(m: MmaState, viewer: str, subject: str) -> Ext
 def trust_adjusted_public_semantics(m: MmaState, e: str) -> ExtensionSet:
     """The agent's public acceptance once trust breaks residual conflicts."""
     return semantics(m.sem_model[(e, e)], trust_adjusted_public_model(m, e))
+
+
+# Every named view of a state, keyed by (name, number of agents it takes).
+# Entries look their accessor up by name at call time, so a caller that
+# rebinds a module attribute (a tracer, a test double) sees every call.
+VIEWS: dict[tuple[str, int], Callable[..., ArgumentationFrame]] = {
+    ("public", 0): lambda m: m.public_af,
+    ("global", 0): lambda m: m.global_af,
+    ("public", 2): lambda m, v, s: public_model(m, v, s),
+    ("local", 2): lambda m, v, s: adjusted_perceived(m, v, s),
+    ("trust-adjusted", 1): lambda m, e: trust_adjusted_public_model(m, e),
+    ("aware", 1): lambda m, e: m.aware[e],
+    ("perceived", 2): lambda m, v, s: perceived(m, v, s),
+    ("adjusted", 2): lambda m, v, s: adjusted_perceived(m, v, s),
+}
+
+
+def view(m: MmaState, name: str, *agents: str) -> ArgumentationFrame:
+    """The frame of the view ``name`` of :data:`VIEWS` for ``agents``.
+
+    ``trust_adjusted`` reads as ``trust-adjusted``; an unknown view or agent raises ``ValueError``.
+    """
+    fn = VIEWS.get((name.replace("_", "-"), len(agents)))
+    if fn is None:
+        raise ValueError(f"unknown view {name!r} for {len(agents)} agent(s)")
+    for e in agents:
+        if e not in m.agents:
+            raise ValueError(f"unknown agent {e!r}")
+    return fn(m, *agents)

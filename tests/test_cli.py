@@ -65,6 +65,29 @@ def test_malformed_document_is_a_parse_error(case, tmp_path, capsys):
     assert "parse error" in err and "Traceback" not in err
 
 
+def _write_bytes(tmp_path, data: bytes) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+UNREADABLE = {
+    "directory as scenario": lambda tmp: ["validate", str(tmp)],
+    "directory as trace output": lambda tmp: ["run", FIXTURE, "--trace", str(tmp)],
+    "directory as export output": lambda tmp: ["export", FIXTURE, "--view", "public", "--out", str(tmp)],
+    "non-UTF-8 scenario": lambda tmp: ["validate", _write_bytes(tmp, b'{"notes": "\xff"}')],
+    "integer too long to convert": lambda tmp: ["validate", _write_bytes(tmp, b'{"notes": ' + b"1" * 5000 + b"}")],
+    "nesting too deep to decode": lambda tmp: ["validate", _write_bytes(tmp, b"[" * 100000 + b"]" * 100000)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_or_output_is_exit_3(case, tmp_path, capsys):
+    assert main(UNREADABLE[case](tmp_path)) == EX_PARSE
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_run_writes_trace(tmp_path, capsys):
     out = tmp_path / "trace.json"
     assert main(["run", FIXTURE, "--trace", str(out)]) == EX_OK

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -5,9 +6,11 @@ import pytest
 
 from mmarg.frames import DUNG, ArgumentationFrame, combine, UNION
 from mmarg.preferences import IntraPreference
-from mmarg.scenario import state_at
-from mmarg.semantics import SemanticsKind, sorted_extensions
+from mmarg.export import export_graph, to_dot
+from mmarg.scenario import query, state_at
+from mmarg.semantics import SemanticsKind, semantics, sorted_extensions
 from mmarg.state import (
+    VIEWS,
     MmaState,
     adjusted_perceived,
     perceived,
@@ -16,6 +19,7 @@ from mmarg.state import (
     trust_adjusted_public_semantics,
     trust_neutral_public_semantics,
     validate,
+    view,
 )
 
 from conftest import random_state
@@ -121,12 +125,12 @@ def test_missing_matrix_entry_flagged():
 def test_perceived_self_is_awareness(mafia):
     m = mafia.initial
     for e in sorted(m.agents):
-        assert perceived(m, e, e).frame == m.aware[e]
+        assert perceived(m, e, e) == m.aware[e]
 
 
 def test_perceived_defaults_to_lower_bound(mafia):
     m = state_at(mafia, 3)
-    got = perceived(m, "e2", "e1").frame
+    got = perceived(m, "e2", "e1")
     assert got.args == frozenset({"a1", "a2", "a3", "a4", "a5", "a9"})
     assert got.attacks == {
         ("a1", "a3"), ("a3", "a1"), ("a1", "a2"),
@@ -147,7 +151,7 @@ def test_override_is_honoured_within_bounds():
     om = combine(perceived_lower_bound(m, "e1", "e2"), f(["a2"]), UNION)
     m2 = replace(m, overrides={("e1", "e2"): om})
     assert validate(m2) == []
-    assert perceived(m2, "e1", "e2").frame == om
+    assert perceived(m2, "e1", "e2") == om
 
 
 def test_override_outside_bounds_flagged():
@@ -171,7 +175,40 @@ def test_perceived_unknown_agent_rejected(mafia):
 
 def test_adjusted_perceived_identity_without_facts(mafia):
     m = state_at(mafia, 3)
-    assert adjusted_perceived(m, "e3", "e1") == perceived(m, "e3", "e1").frame
+    assert adjusted_perceived(m, "e3", "e1") == perceived(m, "e3", "e1")
+
+
+@pytest.mark.parametrize("name,arity", [key for key in VIEWS if key[1]])
+def test_query_and_export_read_the_view_table(mafia, name, arity):
+    m = state_at(mafia, 3)
+    for agents in itertools.product(sorted(m.agents), repeat=arity):
+        frame = view(m, name, *agents)
+        subject = agents[1] if arity == 2 else None
+        assert query(m, agents[0], subject, name) == semantics(m.sem_model[(agents[0], agents[-1])], frame)
+        selector = ":".join((name, *agents))
+        assert export_graph(m, selector) == to_dot(m, frame, title=selector)
+
+
+def test_view_reads_trust_adjusted_with_an_underscore(mafia):
+    m = state_at(mafia, 3)
+    assert view(m, "trust_adjusted", "e2") == view(m, "trust-adjusted", "e2")
+    assert query(m, "e2", None, "trust_adjusted") == query(m, "e2", None, "trust-adjusted")
+
+
+@pytest.mark.parametrize("name,agents", [
+    ("secret", ("e1",)),
+    ("aware", ()),
+    ("public", ("e1", "e2", "e3")),
+    ("aware", ("zz",)),
+    ("perceived", ("e1", "zz")),
+    ("trust-adjusted", ("zz",)),
+])
+def test_view_rejects_unknown_names_and_agents(mafia, name, agents):
+    m = state_at(mafia, 3)
+    with pytest.raises(ValueError):
+        view(m, name, *agents)
+    with pytest.raises(ValueError):
+        export_graph(m, ":".join((name, *agents)))
 
 
 def test_public_model_identity_when_nothing_factual(mafia):
