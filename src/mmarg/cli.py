@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid announcement during a
-run, 3 parse error or a file that cannot be opened (64 for usage errors).
+run, 3 parse error, a scenario file that cannot be read or an output file
+that cannot be written (64 for usage errors).
 """
 
 from __future__ import annotations
@@ -55,8 +56,20 @@ def _resolve(path: str) -> str:
 
 
 def _load(path: str) -> Scenario:
-    with open(_resolve(path), "rb") as fh:
-        return load_scenario(fh)
+    try:
+        with open(_resolve(path), "rb") as fh:
+            return load_scenario(fh)
+    except OSError as exc:
+        raise ScenarioParseError(str(exc)) from exc
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _policy(text: str | None) -> TrustPolicy | None:
@@ -85,12 +98,7 @@ def cmd_run(ns) -> int:
     if policy is not None:
         sc = Scenario(sc.arguments, sc.initial, sc.script, policy, sc.notes)
     trace: Trace = run(sc, with_semantics=ns.with_semantics)
-    text = dumps_trace(trace)
-    if ns.trace:
-        with open(ns.trace, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(dumps_trace(trace), ns.trace)
     if trace.error_step is not None:
         print(f"invalid announcement at step {trace.error_step}: {'; '.join(trace.error)}", file=sys.stderr)
         return EX_ANNOUNCEMENT
@@ -110,12 +118,7 @@ def cmd_query(ns) -> int:
 def cmd_export(ns) -> int:
     sc = _load(ns.file)
     m = state_at(sc, ns.at)
-    text = export_graph(m, ns.view, _labels(sc))
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(export_graph(m, ns.view, _labels(sc)), ns.out)
     return EX_OK
 
 
@@ -196,8 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     except AnnouncementError as exc:
         print(f"invalid announcement: {exc}", file=sys.stderr)
         return EX_ANNOUNCEMENT
-    except OSError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except OSError as exc:  # scenario input is turned into a parse error by _load
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EX_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .frames import UNION, ArgumentationFrame, combine
-from .preferences import IntraPreference
+from .frames import UNION, ArgumentationFrame, combine, restrict
 from .semantics import ExtensionSet
 from .state import (
     MmaState,
@@ -107,30 +106,25 @@ def check_announcement(m: MmaState, ev: AnnouncementEvent) -> list[Violation]:
 def announce(m: MmaState, ev: AnnouncementEvent) -> tuple[MmaState, AnnouncementEvent, MmaState]:
     """Merge a valid announcement into a snapshot, returning (before, event, after).
 
-    Global, public and every awareness frame take the payload's union;
-    agents, semantics models, scopes, fact splits and trust stay put (trust
-    moves only in revision).  Fact splits keep their factual tier and widen
-    their universe with the newly seen arguments.
+    Global, public, every awareness frame and every override take the
+    payload's union.  Each scope follows the new global frame: it keeps its
+    arguments and holds every global attack among them, so an attack
+    fabricated between two arguments of one scope lands there too.  Agents,
+    semantics models, fact splits and trust stay put (trust moves only in
+    revision).
     """
     violations = check_announcement(m, ev)
     if violations:
         raise AnnouncementError(violations)
     payload = ev.payload
-    aware = {e: combine(f, payload, UNION) for e, f in m.aware.items()}
-    intra = {
-        (v, s): IntraPreference(p.factual, aware[v].args)
-        for (v, s), p in m.intra.items()
-    }
-    overrides = {
-        pair: combine(f, payload, UNION) for pair, f in m.overrides.items()
-    }
+    global_af = combine(m.global_af, payload, UNION)
     m2 = replace(
         m,
-        global_af=combine(m.global_af, payload, UNION),
+        global_af=global_af,
         public_af=combine(m.public_af, payload, UNION),
-        aware=aware,
-        intra=intra,
-        overrides=overrides,
+        scope={e: restrict(global_af, f.args) for e, f in m.scope.items()},
+        aware={e: combine(f, payload, UNION) for e, f in m.aware.items()},
+        overrides={pair: combine(f, payload, UNION) for pair, f in m.overrides.items()},
     )
     return m, ev, m2
 

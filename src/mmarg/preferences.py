@@ -1,10 +1,10 @@
 """Preferences over arguments and attack reversal.
 
 Two kinds of preference matter here.  An agent's own fact/guess split (one
-tier of arguments it knows to be factual, everything else below) drives
-spurious attack elimination before any reasoning; a trust-derived order
-between other agents' publicly conflicting arguments breaks ties the facts
-cannot.  Both act the same way, as in preference-based argumentation
+tier of arguments it knows to be factual, every other argument below)
+drives spurious attack elimination before any reasoning; a trust-derived
+order between other agents' publicly conflicting arguments breaks ties the
+facts cannot.  Both act the same way, as in preference-based argumentation
 frameworks: an attack coming out of a strictly less preferred argument is
 reversed.  So each preference only answers ``strictly_less(a, b)``, which
 ``adjust`` asks once per attack; no order is ever enumerated.
@@ -23,25 +23,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class IntraPreference:
-    """Binary fact/non-fact split over the arguments an agent is aware of.
+    """Binary fact/non-fact split: ``factual`` sits at the top tier, every
+    other argument at the bottom; the two tiers are the only strict comparison.
 
-    ``factual`` sits at the top tier, everything else in ``universe`` at the
-    bottom; the two tiers are the only strict comparison.
+    The split ranges over whatever frame it is applied to.  That ``factual``
+    lies inside the holder's awareness is a condition on the state, checked
+    by :func:`mmarg.state.validate`.
     """
 
     factual: frozenset[str]
-    universe: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.factual <= self.universe:
-            raise ValueError(f"factual arguments outside the universe: {sorted(self.factual - self.universe)}")
 
     @classmethod
-    def of(cls, factual: Iterable[str], universe: Iterable[str]) -> IntraPreference:
-        return cls(frozenset(factual), frozenset(universe))
+    def of(cls, factual: Iterable[str]) -> IntraPreference:
+        return cls(frozenset(factual))
 
     def strictly_less(self, a: str, b: str) -> bool:
-        return b in self.factual and a in self.universe and a not in self.factual
+        return b in self.factual and a not in self.factual
 
 
 @dataclass(frozen=True)

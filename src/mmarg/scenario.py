@@ -33,7 +33,8 @@ from .state import (
 )
 from . import state
 
-DEFAULT_TRUST_CAP = 1000
+# Largest |trust| a scenario document may state.
+TRUST_CAP = 1000
 
 
 class ScenarioParseError(ValueError):
@@ -131,8 +132,12 @@ def _matrix(raw: Any, agents: list[str], where: str) -> dict[Pair, Any]:
     return out
 
 
-def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
-    """Build and validate a scenario from a decoded JSON document."""
+def parse_scenario(doc: Any) -> Scenario:
+    """Build and validate a scenario from a decoded JSON document.
+
+    :data:`TRUST_CAP` bounds the trust values the document states; trust
+    revision during a replay may carry a value past it.
+    """
     _expect(isinstance(doc, dict), "scenario document must be a JSON object")
     for key in ("arguments", "global_attacks", "scopes", "awareness", "gsem", "factual", "trust", "script"):
         _expect(key in doc, f"missing top-level key {key!r}")
@@ -199,23 +204,18 @@ def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
             raise ScenarioParseError(f"gsem{pair}: unknown semantics {value!r}") from exc
 
     factual_raw = _matrix(doc["factual"], agents, "factual")
-    violations: list[Violation] = []
     intra: dict[Pair, IntraPreference] = {}
     for (v, s), listed in factual_raw.items():
         _expect(isinstance(listed, list) and all(isinstance(a, str) for a in listed), f"factual({v},{s}) must be a list of ids")
-        factual = frozenset(listed)
-        universe = aware[v].args
-        if not factual <= universe:
-            violations.append(Violation("partial order 1", f"factual({v},{s}) lists arguments outside {v}'s awareness"))
-            universe = universe | factual
-        intra[(v, s)] = IntraPreference(factual, universe)
+        intra[(v, s)] = IntraPreference.of(listed)
 
     trust_raw = _matrix(doc["trust"], agents, "trust")
+    violations: list[Violation] = []
     trust: dict[Pair, int] = {}
     for pair, value in trust_raw.items():
         _expect(_is_int(value), f"trust{pair} must be an integer")
-        if abs(value) > trust_cap:
-            violations.append(Violation("trust range", f"trust{pair} = {value} exceeds the cap {trust_cap}"))
+        if abs(value) > TRUST_CAP:
+            violations.append(Violation("trust range", f"trust{pair} = {value} exceeds the cap {TRUST_CAP}"))
         trust[pair] = value
 
     overrides: dict[Pair, ArgumentationFrame] = {}
@@ -267,7 +267,7 @@ def parse_scenario(doc: Any, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
     return Scenario(tuple(decls), initial, tuple(script), policy, str(doc.get("notes", "")))
 
 
-def load_scenario(source: str | bytes | IO, trust_cap: int = DEFAULT_TRUST_CAP) -> Scenario:
+def load_scenario(source: str | bytes | IO) -> Scenario:
     """Parse a scenario from text, bytes or a readable stream."""
     if hasattr(source, "read"):
         source = source.read()
@@ -275,7 +275,7 @@ def load_scenario(source: str | bytes | IO, trust_cap: int = DEFAULT_TRUST_CAP) 
         doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, overlong integers, deep nesting
         raise ScenarioParseError(f"invalid JSON: {exc}") from exc
-    return parse_scenario(doc, trust_cap)
+    return parse_scenario(doc)
 
 
 def fixture_path(name: str) -> str:
@@ -391,11 +391,13 @@ def state_at(sc: Scenario, step: int) -> MmaState:
 
 
 def query(m: MmaState, viewer: str, subject: str | None, view: str, kind: SemanticsKind | None = None) -> ExtensionSet:
-    """Extension sets of a view of :data:`~mmarg.state.VIEWS`: a one-agent view reads ``viewer``, a
-    two-agent view ``viewer``'s model of ``subject`` (default ``viewer``).  The kind defaults to what
-    the first agent assumes the last one applies.
+    """Extension sets of a view of :data:`~mmarg.state.VIEWS`: a one-agent view reads ``viewer`` and
+    takes no ``subject`` (``ValueError``), a two-agent view ``viewer``'s model of ``subject`` (default
+    ``viewer``).  The kind defaults to what the first agent assumes the last one applies.
     """
     if (view.replace("_", "-"), 1) in VIEWS:
+        if subject is not None:
+            raise ValueError(f"view {view!r} reads one agent and takes no subject")
         agents = (viewer,)
     else:
         agents = (viewer, subject if subject is not None else viewer)

@@ -71,10 +71,11 @@ def validate(m: MmaState) -> list[Violation]:
     """All structural violations of the snapshot; empty means well formed.
 
     Conditions are named after what they guard: scope/awareness/public
-    nesting, scope disjointness and attack faithfulness, the fact split's
-    domain, knowledge propagation of facts into their owner's scope, and
-    the epistemic bounds on explicit opponent-model overrides.  The trust
-    order between agents is derived on demand and needs no check here.
+    nesting, scope disjointness and attack faithfulness, factual arguments
+    inside their holder's awareness, knowledge propagation of facts into
+    their owner's scope, and the epistemic bounds on explicit
+    opponent-model overrides.  The trust order between agents is derived
+    on demand and needs no check here.
     """
     out: list[Violation] = []
 
@@ -118,10 +119,8 @@ def validate(m: MmaState) -> list[Violation]:
         for name, mapping in (("semantics", m.sem_model), ("intra preference", m.intra), ("trust", m.trust)):
             if pair not in mapping:
                 out.append(Violation("structure", f"no {name} entry for pair ({v},{s})"))
-        if pair in m.intra and v in m.aware:
-            p = m.intra[pair]
-            if p.universe != m.aware[v].args:
-                out.append(Violation("partial order 1", f"intra preference ({v},{s}) is not over the awareness arguments of {v}"))
+        if pair in m.intra and v in m.aware and not m.intra[pair].factual <= m.aware[v].args:
+            out.append(Violation("partial order 1", f"factual({v},{s}) lists arguments outside {v}'s awareness"))
 
     # Facts about an argument propagate into its owner's own split and into
     # the knower's model of the owner.

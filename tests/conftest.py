@@ -109,10 +109,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
                     factual[(k, o)].add(a)
                     changed = True
 
-    intra = {
-        pair: IntraPreference(frozenset(facts), aware[pair[0]].args)
-        for pair, facts in factual.items()
-    }
+    intra = {pair: IntraPreference(frozenset(facts)) for pair, facts in factual.items()}
     trust = {(v, s): rng.randint(-3, 3) for v in agents for s in agents}
 
     m = MmaState(

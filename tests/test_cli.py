@@ -71,21 +71,26 @@ def _write_bytes(tmp_path, data: bytes) -> str:
     return str(path)
 
 
+# Each case gives the command line and the start of its message on stderr.
 UNREADABLE = {
-    "directory as scenario": lambda tmp: ["validate", str(tmp)],
-    "directory as trace output": lambda tmp: ["run", FIXTURE, "--trace", str(tmp)],
-    "directory as export output": lambda tmp: ["export", FIXTURE, "--view", "public", "--out", str(tmp)],
-    "non-UTF-8 scenario": lambda tmp: ["validate", _write_bytes(tmp, b'{"notes": "\xff"}')],
-    "integer too long to convert": lambda tmp: ["validate", _write_bytes(tmp, b'{"notes": ' + b"1" * 5000 + b"}")],
-    "nesting too deep to decode": lambda tmp: ["validate", _write_bytes(tmp, b"[" * 100000 + b"]" * 100000)],
+    "directory as scenario": lambda tmp: (["validate", str(tmp)], "parse error: "),
+    "directory as trace output": lambda tmp: (["run", FIXTURE, "--trace", str(tmp)], f"cannot write {tmp}: "),
+    "directory as export output": lambda tmp: (
+        ["export", FIXTURE, "--view", "public", "--out", str(tmp)], f"cannot write {tmp}: "),
+    "non-UTF-8 scenario": lambda tmp: (["validate", _write_bytes(tmp, b'{"notes": "\xff"}')], "parse error: "),
+    "integer too long to convert": lambda tmp: (
+        ["validate", _write_bytes(tmp, b'{"notes": ' + b"1" * 5000 + b"}")], "parse error: "),
+    "nesting too deep to decode": lambda tmp: (
+        ["validate", _write_bytes(tmp, b"[" * 100000 + b"]" * 100000)], "parse error: "),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 def test_unreadable_input_or_output_is_exit_3(case, tmp_path, capsys):
-    assert main(UNREADABLE[case](tmp_path)) == EX_PARSE
+    argv, message = UNREADABLE[case](tmp_path)
+    assert main(argv) == EX_PARSE
     err = capsys.readouterr().err
-    assert "parse error" in err and "Traceback" not in err
+    assert err.startswith(message) and "Traceback" not in err
 
 
 def test_run_writes_trace(tmp_path, capsys):
@@ -136,6 +141,15 @@ def test_query_kind_override(capsys):
 
 def test_query_unknown_agent(capsys):
     assert main(["query", FIXTURE, "--viewer", "e9", "--view", "public"]) == EX_VALIDATION
+
+
+@pytest.mark.parametrize("view", ["trust-adjusted", "aware"])
+def test_query_one_agent_view_rejects_a_subject(view, capsys):
+    argv = ["query", FIXTURE, "--viewer", "e1", "--view", view]
+    assert main(argv + ["--subject", "e2"]) == EX_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "takes no subject" in captured.err
+    assert main(argv) == EX_OK
 
 
 def test_export_public_view(capsys):

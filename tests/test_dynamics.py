@@ -16,9 +16,10 @@ from mmarg.dynamics import (
     update,
 )
 from mmarg.frames import PRE_DUNG, ArgumentationFrame
-from mmarg.scenario import state_at
+from mmarg.scenario import bundled_scenarios, state_at
+from mmarg.state import validate
 
-from conftest import random_announcement, random_state
+from conftest import load_bundled, random_announcement, random_state
 
 
 def ev(args, attacks=(), announcers=("e1",)):
@@ -94,8 +95,40 @@ def test_announce_expands_and_keeps_the_rest(mafia):
     assert after.sem_model == m.sem_model
     assert after.trust == m.trust
     for pair, p in m.intra.items():
-        assert after.intra[pair].factual == p.factual
-        assert after.intra[pair].universe == after.aware[pair[0]].args
+        assert after.intra[pair] == p
+
+
+def test_fabricated_attack_inside_one_scope_joins_that_scope(mafia):
+    m = state_at(mafia, 4)
+    event = ev(["a4"], [("a4", "a5")], announcers=("e1",))
+    assert check_announcement(m, event) == []
+    m2 = update(m, event, mafia.policy)
+    assert ("a4", "a5") in m2.scope["e2"].attacks
+    assert validate(m2) == []
+
+
+def test_accepted_announcements_leave_valid_states():
+    # Fixture scripts, then short chains of random events on random states:
+    # whatever check_announcement accepts (update raises otherwise),
+    # validate accepts afterwards.
+    for name in bundled_scenarios():
+        sc = load_bundled(name)
+        m = sc.initial
+        for event in sc.script:
+            m = update(m, event, sc.policy)
+            assert validate(m) == [], name
+    rng = random.Random(1)
+    accepted = 0
+    for _ in range(200):
+        m = random_state(rng)
+        for _ in range(3):
+            event = random_announcement(rng, m)
+            if event is None:
+                break
+            m = update(m, event)
+            assert validate(m) == []
+            accepted += 1
+    assert accepted > 300
 
 
 def test_restrict_extensions_examples():

@@ -19,43 +19,37 @@ def f(args, attacks=()):
     return ArgumentationFrame.of(args, attacks)
 
 
-def strict_pairs(order, universe):
-    return {(a, b) for a in universe for b in universe if order.strictly_less(a, b)}
+def strict_pairs(order, args):
+    return {(a, b) for a in args for b in args if order.strictly_less(a, b)}
 
 
 def test_binary_split_orders_guesses_below_facts():
-    order = IntraPreference.of(["a1"], ["a1", "a3"])
-    assert strict_pairs(order, ["a1", "a3", "a9"]) == {("a3", "a1")}
+    assert strict_pairs(IntraPreference.of(["a1"]), ["a1", "a3"]) == {("a3", "a1")}
 
 
 def test_no_facts_means_no_strict_pairs():
-    assert strict_pairs(IntraPreference.of([], ["a1", "a2"]), ["a1", "a2"]) == set()
+    assert strict_pairs(IntraPreference.of([]), ["a1", "a2"]) == set()
 
 
 def test_all_facts_means_no_strict_pairs():
-    assert strict_pairs(IntraPreference.of(["a1", "a2"], ["a1", "a2"]), ["a1", "a2"]) == set()
-
-
-def test_factual_outside_universe_rejected():
-    with pytest.raises(ValueError):
-        IntraPreference.of(["a9"], ["a1"])
+    assert strict_pairs(IntraPreference.of(["a1", "a2"]), ["a1", "a2"]) == set()
 
 
 def test_adjust_reverses_single_attack():
     frame = f(["a1", "a2"], [("a1", "a2")])
-    for order in (InterPreference("e1", frozenset({("a1", "a2")})), IntraPreference.of(["a2"], ["a1", "a2"])):
+    for order in (InterPreference("e1", frozenset({("a1", "a2")})), IntraPreference.of(["a2"])):
         assert adjust(frame, order).attacks == {("a2", "a1")}
 
 
 def test_adjust_without_strict_pairs_is_identity():
     frame = f(["a1", "a2"], [("a1", "a2")])
     assert adjust(frame, InterPreference("e1", frozenset())) == frame
-    assert adjust(frame, IntraPreference.of([], ["a1", "a2"])) == frame
+    assert adjust(frame, IntraPreference.of([])) == frame
 
 
 def test_adjust_collapses_mutual_attack():
     frame = f(["a1", "a3"], [("a1", "a3"), ("a3", "a1")])
-    order = IntraPreference.of(["a1"], ["a1", "a3"])
+    order = IntraPreference.of(["a1"])
     assert adjust(frame, order).attacks == {("a1", "a3")}
 
 
@@ -73,7 +67,7 @@ def frame_and_split(draw):
     args = [f"p{i}" for i in range(n)]
     attacks = draw(st.sets(st.tuples(st.sampled_from(args), st.sampled_from(args)), max_size=12))
     factual = draw(st.sets(st.sampled_from(args)))
-    return ArgumentationFrame.of(args, attacks), IntraPreference.of(factual, args)
+    return ArgumentationFrame.of(args, attacks), IntraPreference.of(factual)
 
 
 @given(frame_and_split())

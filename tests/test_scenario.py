@@ -14,11 +14,13 @@ from mmarg.scenario import (
     fixture_path,
     load_scenario,
     parse_scenario,
+    TRUST_CAP,
     query,
     run,
     state_at,
 )
 from mmarg.semantics import SemanticsKind, sorted_extensions
+from mmarg.state import validate
 
 from conftest import load_bundled
 
@@ -90,11 +92,23 @@ def test_overlapping_scopes_fail_validation(mafia):
 
 def test_trust_beyond_cap_fails_validation(mafia):
     doc = base_doc(mafia)
-    doc["trust"]["e1"]["e2"] = 1001
+    doc["trust"]["e1"]["e2"] = TRUST_CAP
+    assert parse_scenario(doc).initial.trust[("e1", "e2")] == TRUST_CAP
+    doc["trust"]["e1"]["e2"] = TRUST_CAP + 1
     with pytest.raises(ScenarioValidationError) as exc:
         parse_scenario(doc)
-    assert any(v.condition == "trust range" for v in exc.value.violations)
-    assert parse_scenario(doc, trust_cap=2000) is not None
+    assert [v.condition for v in exc.value.violations] == ["trust range"]
+
+
+def test_revision_may_carry_trust_past_the_cap(mafia_dprime):
+    # The cap bounds the document only: e2 judges e1's confession honest.
+    doc = base_doc(mafia_dprime)
+    doc["trust"]["e2"]["e1"] = TRUST_CAP
+    sc = parse_scenario(doc)
+    trace = run(sc)
+    assert trace.error_step is None
+    assert trace.final.trust[("e2", "e1")] == TRUST_CAP + 1
+    assert validate(trace.final) == []
 
 
 def test_factual_outside_awareness_fails_validation(mafia):
@@ -102,7 +116,7 @@ def test_factual_outside_awareness_fails_validation(mafia):
     doc["factual"]["e3"]["e1"] = ["a6"]  # e3 never becomes aware of a6
     with pytest.raises(ScenarioValidationError) as exc:
         parse_scenario(doc)
-    assert any(v.condition == "partial order 1" for v in exc.value.violations)
+    assert [v.condition for v in exc.value.violations] == ["partial order 1"]
 
 
 def test_run_records_every_step(mafia):
@@ -158,6 +172,8 @@ def test_query_views(mafia):
     assert sorted_extensions(query(m, "e2", "e1", "public")) == [["a2", "a3", "a9"]]
     assert sorted_extensions(query(m, "e2", "e1", "local")) == [["a1", "a4", "a5"]]
     assert sorted_extensions(query(m, "e3", None, "trust-adjusted")) == [["a2", "a3", "a9"]]
+    with pytest.raises(ValueError):
+        query(m, "e3", "e1", "trust-adjusted")  # a one-agent view takes no subject
     with pytest.raises(ValueError):
         query(m, "e2", "e1", "private")
 

@@ -48,7 +48,7 @@ def two_agent_state(**overrides) -> MmaState:
         scope=scope,
         aware=aware,
         sem_model={(v, s): SemanticsKind.PREFERRED for v in agents for s in agents},
-        intra={(v, s): IntraPreference.of([], aware[v].args) for v in agents for s in agents},
+        intra={(v, s): IntraPreference.of([]) for v in agents for s in agents},
         trust={(v, s): 0 for v in agents for s in agents},
         overrides={},
     )
@@ -102,7 +102,7 @@ def test_empty_scope_flagged():
 def test_factual_outside_awareness_flagged():
     m = two_agent_state()
     bad = dict(m.intra)
-    bad[("e2", "e1")] = IntraPreference.of(["a2"], m.aware["e2"].args | {"a2"})
+    bad[("e2", "e1")] = IntraPreference.of(["a2"])
     assert "partial order 1" in conditions(validate(replace(m, intra=bad)))
 
 
@@ -111,7 +111,7 @@ def test_knowledge_propagation_violation_flagged():
     bad = dict(m.intra)
     # e1 holds b1 (owned by e2) factual, but neither e2's own split nor
     # e1's model of e2 does.
-    bad[("e1", "e1")] = IntraPreference.of(["b1"], m.aware["e1"].args)
+    bad[("e1", "e1")] = IntraPreference.of(["b1"])
     assert conditions(validate(replace(m, intra=bad))) == {"knowledge"}
 
 
