@@ -15,7 +15,7 @@ import random
 import sys
 
 from .dynamics import AnnouncementError, TrustPolicy
-from .oracle import oracle_semantics, random_frame
+from .oracle import MAX_ORACLE_ARGS, oracle_semantics, random_frame
 from .scenario import (
     Scenario,
     ScenarioParseError,
@@ -122,6 +122,16 @@ def cmd_export(ns) -> int:
     return EX_OK
 
 
+def _count(high: int | None = None):
+    """An argparse type: an integer from 1 to ``high``, unbounded when ``high`` is None."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= (high or value):
+            raise argparse.ArgumentTypeError(f"{value} is not in 1..{high or ''}")
+        return value
+    return integer
+
+
 def cmd_oracle_check(ns) -> int:
     rng = random.Random(ns.seed)
     densities = [0.1, 0.2, 0.3, 0.4, 0.5]
@@ -175,9 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("oracle-check", help="cross-check the solver against the brute-force oracle")
-    p.add_argument("--max-args", type=int, default=8)
+    p.add_argument("--max-args", type=_count(MAX_ORACLE_ARGS), default=8,
+                   help=f"largest frame to draw, 1..{MAX_ORACLE_ARGS} (the oracle's limit)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count(), default=100)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -11,24 +11,24 @@ Detected verdicts move the trust matrix by a policy's step sizes.
 
 :func:`step` is that whole replay step, done once: announce, the verdict
 matrix on the announced state, trust revision.  :func:`update` is its
-revised state and :func:`detect` one entry of its verdict matrix.
+revised state and :func:`detect` one entry of its verdict matrix.  A step
+solves each distinct (semantics kind, frame) its verdicts ask for once: the
+pairs share one memo that lives only as long as the call, and every miss
+calls this module's ``semantics`` as it is bound at that moment.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .frames import UNION, ArgumentationFrame, combine, restrict
-from .semantics import ExtensionSet
-from .state import (
-    MmaState,
-    Pair,
-    Violation,
-    trust_neutral_local_semantics,
-    trust_neutral_public_semantics,
-)
+from .semantics import ExtensionSet, SemanticsKind, semantics
+from .state import MmaState, Pair, Violation, adjusted_perceived, public_model
+
+Solve = Callable[[SemanticsKind, ArgumentationFrame], ExtensionSet]
 
 
 class Verdict(str, enum.Enum):
@@ -135,13 +135,15 @@ def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet
     return frozenset(ext & keep for ext in exts)
 
 
-def _verdict(m2: MmaState, viewer: str, subject: str, payload: ArgumentationFrame) -> Verdict:
+def _verdict(m2: MmaState, viewer: str, subject: str, payload: ArgumentationFrame, solve: Solve) -> Verdict:
+    """Compare the trust-neutral public and local semantics, both solved through ``solve``."""
     checked = payload.args & m2.scope[subject].args
     if not checked:
         # Nothing of the subject's own scope was announced: no evidence.
         return Verdict.UNDETERMINED
-    src = restrict_extensions(trust_neutral_public_semantics(m2, viewer, subject), checked)
-    tgt = restrict_extensions(trust_neutral_local_semantics(m2, viewer, subject), checked)
+    kind = m2.sem_model[(viewer, subject)]
+    src = restrict_extensions(solve(kind, public_model(m2, viewer, subject)), checked)
+    tgt = restrict_extensions(solve(kind, adjusted_perceived(m2, viewer, subject)), checked)
     if not src & tgt:
         return Verdict.DISHONEST
     if src == tgt and checked <= m2.intra[(viewer, subject)].factual:
@@ -159,7 +161,7 @@ def detect(m: MmaState, viewer: str, subject: str, ev: AnnouncementEvent) -> Ver
     if viewer not in m.agents or subject not in m.agents:
         raise ValueError(f"unknown agent pair ({viewer},{subject})")
     _, _, m2 = announce(m, ev)
-    return _verdict(m2, viewer, subject, ev.payload)
+    return _verdict(m2, viewer, subject, ev.payload, functools.cache(semantics))
 
 
 def step(
@@ -170,12 +172,21 @@ def step(
     The event is checked and merged once; every ordered pair of distinct
     agents is judged on the announced state; each verdict then shifts its
     pair's trust by the policy.  Revision moves trust and nothing else.
-    Raises :class:`AnnouncementError` for an invalid event.
+    Each distinct (kind, frame) the verdicts need is solved once, through a
+    memo made for this call.  Raises :class:`AnnouncementError` for an
+    invalid event.
     """
+    return _step(m, ev, policy, functools.cache(semantics))
+
+
+def _step(
+    m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy, solve: Solve
+) -> tuple[MmaState, dict[Pair, Verdict], MmaState]:
+    """:func:`step` with every verdict solved through ``solve``, a memo the caller owns."""
     _, _, m2 = announce(m, ev)
     order = sorted(m.agents)
     verdicts = {
-        (v, s): _verdict(m2, v, s, ev.payload)
+        (v, s): _verdict(m2, v, s, ev.payload, solve)
         for v in order
         for s in order
         if v != s

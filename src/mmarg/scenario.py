@@ -14,12 +14,13 @@ the serialized trace is byte-stable.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, IO, Mapping
 
-from .dynamics import AnnouncementError, AnnouncementEvent, TrustPolicy, Verdict, step, update
+from .dynamics import AnnouncementError, AnnouncementEvent, TrustPolicy, Verdict, _step, update
 from .frames import DUNG, PRE_DUNG, ArgumentationFrame
 from .preferences import IntraPreference
 from .semantics import ExtensionSet, SemanticsKind, semantics, sorted_extensions
@@ -28,7 +29,7 @@ from .state import (
     MmaState,
     Pair,
     Violation,
-    trust_adjusted_public_semantics,
+    trust_adjusted_public_model,
     validate,
 )
 from . import state
@@ -347,16 +348,23 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
     """Fold :func:`~mmarg.dynamics.step` over the script, recording every step.
 
     Replay halts at the first invalid event with the violations as the
-    trace's diagnostic; the steps before it stay recorded.
+    trace's diagnostic; the steps before it stay recorded.  With
+    ``with_semantics`` each step also records every agent's
+    :func:`~mmarg.state.trust_adjusted_public_semantics` on the revised
+    state, solved through the step's own memo, so a (kind, frame) the
+    verdicts already solved is not solved again; no memo outlives its step.
     """
     m = sc.initial
     steps: list[TraceStep] = []
     for k, ev in enumerate(sc.script, 1):
+        solve = functools.cache(semantics)
         try:
-            m2, verdicts, m3 = step(m, ev, sc.policy)
+            m2, verdicts, m3 = _step(m, ev, sc.policy, solve)
         except AnnouncementError as exc:
             return Trace(tuple(steps), m, error_step=k, error=tuple(str(v) for v in exc.violations))
-        extras = {e: trust_adjusted_public_semantics(m3, e) for e in sorted(m3.agents)} if with_semantics else None
+        extras = None
+        if with_semantics:
+            extras = {e: solve(m3.sem_model[(e, e)], trust_adjusted_public_model(m3, e)) for e in sorted(m3.agents)}
         steps.append(
             TraceStep(
                 index=k,

@@ -47,7 +47,11 @@ def mafia_trusts_e2() -> Scenario:
 
 
 def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, density: float = 0.25) -> MmaState:
-    """A random well-formed state; raises if the construction itself is buggy."""
+    """A random well-formed state; raises if the construction itself is buggy.
+
+    Every draw from ``rng`` walks a list or a sorted sequence, never a set,
+    so the state depends on ``rng`` alone and not on ``PYTHONHASHSEED``.
+    """
     agents = [f"e{i}" for i in range(1, n_agents + 1)]
     scope_args: dict[str, list[str]] = {}
     counter = 0
@@ -55,13 +59,12 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
         size = rng.randint(1, max_scope)
         scope_args[e] = [f"x{counter + j}" for j in range(size)]
         counter += size
-    all_args = frozenset(a for args in scope_args.values() for a in args)
+    all_args = [a for args in scope_args.values() for a in args]
     owner = {a: e for e, args in scope_args.items() for a in args}
 
-    g_attacks = frozenset(
-        (x, y) for x in all_args for y in all_args if rng.random() < density
-    )
-    global_af = ArgumentationFrame(all_args, g_attacks, DUNG)
+    g_pairs = [(x, y) for x in all_args for y in all_args if rng.random() < density]
+    g_attacks = frozenset(g_pairs)
+    global_af = ArgumentationFrame(frozenset(all_args), g_attacks, DUNG)
 
     scope = {}
     for e in agents:
@@ -71,7 +74,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
 
     pub_args = frozenset(a for a in all_args if rng.random() < 0.4)
     pub_attacks = frozenset(
-        p for p in g_attacks if p[0] in pub_args and p[1] in pub_args and rng.random() < 0.6
+        p for p in g_pairs if p[0] in pub_args and p[1] in pub_args and rng.random() < 0.6
     )
     public_af = ArgumentationFrame(pub_args, pub_attacks, DUNG)
 
@@ -81,7 +84,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
         fa_attacks = (
             scope[e].attacks
             | pub_attacks
-            | frozenset(p for p in g_attacks if p[0] in fa_args and p[1] in fa_args and rng.random() < 0.5)
+            | frozenset(p for p in g_pairs if p[0] in fa_args and p[1] in fa_args and rng.random() < 0.5)
         )
         aware[e] = ArgumentationFrame(fa_args, fa_attacks, DUNG)
 
@@ -90,7 +93,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
     }
 
     factual: dict[tuple[str, str], set[str]] = {
-        (v, s): {a for a in aware[v].args if rng.random() < (0.3 if v == s else 0.15)}
+        (v, s): {a for a in sorted(aware[v].args) if rng.random() < (0.3 if v == s else 0.15)}
         for v in agents
         for s in agents
     }
@@ -100,7 +103,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
     while changed:
         changed = False
         for k in agents:
-            for a in list(factual[(k, k)]):
+            for a in sorted(factual[(k, k)]):
                 o = owner[a]
                 if a not in factual[(o, o)]:
                     factual[(o, o)].add(a)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mmarg import cli
 from mmarg.cli import EX_ANNOUNCEMENT, EX_OK, EX_PARSE, EX_USAGE, EX_VALIDATION, main
 from mmarg.scenario import ScenarioParseError, dumps_scenario, fixture_path, parse_scenario
 
@@ -181,6 +182,25 @@ def test_export_unknown_selector(capsys):
 def test_oracle_check(capsys):
     assert main(["oracle-check", "--max-args", "6", "--seed", "3", "--trials", "25"]) == EX_OK
     assert "0 mismatches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--max-args", "0"],
+    ["--max-args", "-1"],
+    ["--max-args", "21"],
+    ["--max-args", "40", "--trials", "3"],
+    ["--trials", "0"],
+    ["--trials", "-2"],
+])
+def test_oracle_check_rejects_bounds_it_cannot_honour_before_solving(args, monkeypatch, capsys):
+    def no_solve(*_):
+        raise AssertionError("solved a frame before rejecting the options")
+    monkeypatch.setattr(cli, "random_frame", no_solve)
+    monkeypatch.setattr(cli, "semantics", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", *args])
+    assert exc.value.code == EX_USAGE
+    assert "is not in 1.." in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

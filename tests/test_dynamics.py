@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -16,8 +17,8 @@ from mmarg.dynamics import (
     update,
 )
 from mmarg.frames import PRE_DUNG, ArgumentationFrame
-from mmarg.scenario import bundled_scenarios, state_at
-from mmarg.state import validate
+from mmarg.scenario import bundled_scenarios, run, state_at
+from mmarg.state import adjusted_perceived, public_model, trust_adjusted_public_model, validate
 
 from conftest import load_bundled, random_announcement, random_state
 
@@ -251,3 +252,84 @@ def test_honest_and_dishonest_conditions_are_mutually_exclusive():
             if verdict is Verdict.HONEST:
                 assert src == tgt
         done += 1
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Every (kind, frame) the solver is asked for, in order.
+
+    The solver is wrapped by rebinding each ``mmarg`` module attribute that
+    names it, so a call through any alias is counted.
+    """
+    solve = sys.modules["mmarg.semantics"].semantics
+    calls = []
+
+    def counted(kind, f):
+        calls.append((kind, f))
+        return solve(kind, f)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "mmarg" or name.startswith("mmarg."):
+            for key, value in list(vars(mod).items()):
+                if value is solve:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def _verdict_solves(m2, event):
+    """The (kind, frame) pairs the verdict matrix on the announced state needs."""
+    need = set()
+    for v in m2.agents:
+        for s in m2.agents:
+            if v != s and event.payload.args & m2.scope[s].args:
+                kind = m2.sem_model[(v, s)]
+                need |= {(kind, public_model(m2, v, s)), (kind, adjusted_perceived(m2, v, s))}
+    return need
+
+
+def _step_cases():
+    """(state, event, policy) for every fixture step and about 50 random states."""
+    cases = []
+    for name in bundled_scenarios():
+        sc = load_bundled(name)
+        m = sc.initial
+        for event in sc.script:
+            cases.append((m, event, sc.policy))
+            m = update(m, event, sc.policy)
+    rng = random.Random(5)
+    for _ in range(50):
+        m = random_state(rng, n_agents=4, max_scope=3, density=0.3)
+        event = random_announcement(rng, m)
+        if event is not None:
+            cases.append((m, event, TrustPolicy()))
+    return cases
+
+
+def test_step_solves_each_distinct_kind_and_frame_once(solver_calls):
+    cases = _step_cases()
+    assert len(cases) > 60
+    for m, event, policy in cases:
+        solver_calls.clear()
+        m2, verdicts, _ = step(m, event, policy)
+        assert len(solver_calls) == len(set(solver_calls))
+        assert set(solver_calls) == _verdict_solves(m2, event)
+        for (v, s), verdict in verdicts.items():
+            assert detect(m, v, s, event) is verdict
+
+
+def test_run_solves_each_step_once_and_keeps_nothing_between_calls(solver_calls):
+    for name in bundled_scenarios():
+        sc = load_bundled(name)
+        expected = 0
+        m = sc.initial
+        for event in sc.script:
+            m2, _, m3 = step(m, event, sc.policy)
+            extras = {(m3.sem_model[(e, e)], trust_adjusted_public_model(m3, e)) for e in m3.agents}
+            expected += len(_verdict_solves(m2, event) | extras)
+            m = m3
+        counts = []
+        for _ in range(2):
+            solver_calls.clear()
+            run(sc, with_semantics=True)
+            counts.append(len(solver_calls))
+        assert counts == [expected, expected], name
