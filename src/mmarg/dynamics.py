@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 from .frames import UNION, ArgumentationFrame, combine, restrict
 from .semantics import ExtensionSet, SemanticsKind, semantics
-from .state import MmaState, Pair, Violation, adjusted_perceived, public_model
+from .state import MmaState, Pair, Violation, _is_int, adjusted_perceived, public_model
 
 Solve = Callable[[SemanticsKind, ArgumentationFrame], ExtensionSet]
 
@@ -55,12 +55,14 @@ class AnnouncementEvent:
 
 @dataclass(frozen=True)
 class TrustPolicy:
-    """Step sizes for trust revision; how large the steps are is a free choice."""
+    """Integer step sizes for trust revision; how large the steps are is a free choice."""
 
     delta_honest: int = 1
     delta_dishonest: int = 1
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.delta_honest) and _is_int(self.delta_dishonest)):
+            raise ValueError("trust deltas must be integers")
         if self.delta_honest < 0 or self.delta_dishonest < 0:
             raise ValueError("trust deltas must be non-negative")
 

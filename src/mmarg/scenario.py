@@ -18,6 +18,7 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Any, IO, Mapping
 
 from .dynamics import AnnouncementError, AnnouncementEvent, TrustPolicy, Verdict, _step, update
@@ -29,6 +30,7 @@ from .state import (
     MmaState,
     Pair,
     Violation,
+    _is_int,
     trust_adjusted_public_model,
     validate,
 )
@@ -92,10 +94,6 @@ class Trace:
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ScenarioParseError(msg)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_attacks(raw: Any, where: str) -> frozenset[tuple[str, str]]:
@@ -259,7 +257,6 @@ def parse_scenario(doc: Any) -> Scenario:
     policy_raw = doc.get("policy", {})
     _expect(isinstance(policy_raw, dict), "policy must be an object")
     deltas = [policy_raw.get(key, 1) for key in ("honest", "dishonest")]
-    _expect(all(_is_int(d) for d in deltas), "policy steps must be integers")
     try:
         policy = TrustPolicy(*deltas)
     except ValueError as exc:
@@ -416,40 +413,71 @@ def query(m: MmaState, viewer: str, subject: str | None, view: str, kind: Semant
 # ---------------------------------------------------------------------------
 # Trace serialization.
 
-def trace_to_doc(trace: Trace) -> dict:
-    doc: dict[str, Any] = {
-        "steps": [],
-        "final": {
-            "public": _frame_doc(trace.final.public_af),
-            "global": _frame_doc(trace.final.global_af),
-            "trust": _pair_matrix_doc(trace.final.trust),
-        },
-        "error": None,
-    }
-    if trace.error_step is not None:
-        doc["error"] = {"step": trace.error_step, "violations": list(trace.error)}
-    for step in trace.steps:
-        entry = {
-            "index": step.index,
-            "announcers": list(step.announcers),
-            "payload": _frame_doc(step.payload),
-            "public_added": {
-                "args": list(step.public_added_args),
-                "attacks": [list(p) for p in step.public_added_attacks],
-            },
-            "global_added": {
-                "args": list(step.global_added_args),
-                "attacks": [list(p) for p in step.global_added_attacks],
-            },
-            "verdicts": _pair_matrix_doc(step.verdicts, lambda v: v.value),
-            "trust_before": _pair_matrix_doc(step.trust_before),
-            "trust_after": _pair_matrix_doc(step.trust_after),
-        }
-        if step.trust_adjusted is not None:
-            entry["trust_adjusted"] = {e: sorted_extensions(g) for e, g in sorted(step.trust_adjusted.items())}
-        doc["steps"].append(entry)
-    return doc
+_VERDICT_JSON = {v: encode_basestring_ascii(v.value) for v in Verdict}
+
+
+def _block(brackets: str, items: list[str], nl: str) -> str:
+    """Rendered items laid out as ``json.dumps(indent=2)`` lays them out, ``nl`` before the closing bracket."""
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
+
+
+class _TraceWriter(dict):
+    """One trace's parts rendered as ``json.dumps(..., indent=2, sort_keys=True)`` renders them, ``nl``
+    before the closing bracket.  As a dict it maps each string to its JSON literal, quoted once per trace."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = quoted = encode_basestring_ascii(text)
+        return quoted
+
+    def strs(self, texts: Any, nl: str) -> str:
+        return _block("[]", [self[t] for t in texts], nl)
+
+    def lists(self, rows: Any, nl: str) -> str:
+        return _block("[]", [self.strs(row, nl + "  ") for row in rows], nl)
+
+    def frame(self, args: Any, attacks: Any, nl: str) -> str:
+        return _block("{}", ['"args": ' + self.strs(args, nl + "  "), '"attacks": ' + self.lists(attacks, nl + "  ")], nl)
+
+    def matrix(self, values: Mapping[Pair, Any], nl: str, conv: Any = int.__repr__) -> str:
+        rows: dict[str, list[str]] = {}
+        for (v, s), value in sorted(values.items()):
+            rows.setdefault(v, []).append(f"{self[s]}: {conv(value)}")
+        inner = nl + "  "
+        return _block("{}", [f"{self[v]}: " + _block("{}", row, inner) for v, row in rows.items()], nl)
+
+    def step(self, st: TraceStep, nl: str) -> str:
+        i = nl + "  "
+        fields = [
+            '"announcers": ' + self.strs(st.announcers, i),
+            '"global_added": ' + self.frame(st.global_added_args, st.global_added_attacks, i),
+            f'"index": {st.index!r}',
+            '"payload": ' + self.frame(st.payload.sorted_args(), st.payload.sorted_attacks(), i),
+            '"public_added": ' + self.frame(st.public_added_args, st.public_added_attacks, i),
+        ]
+        if st.trust_adjusted is not None:
+            extras = [self[e] + ": " + self.lists(sorted_extensions(g), i + "  ") for e, g in sorted(st.trust_adjusted.items())]
+            fields.append('"trust_adjusted": ' + _block("{}", extras, i))
+        return _block("{}", fields + [
+            '"trust_after": ' + self.matrix(st.trust_after, i),
+            '"trust_before": ' + self.matrix(st.trust_before, i),
+            '"verdicts": ' + self.matrix(st.verdicts, i, _VERDICT_JSON.__getitem__),
+        ], nl)
 
 
 def dumps_trace(trace: Trace) -> str:
-    return json.dumps(trace_to_doc(trace), indent=2, sort_keys=True) + "\n"
+    """The trace as JSON, written straight from its steps: ``error`` (null, or the halting
+    ``step`` and its ``violations``), the ``final`` frames and trust, and per step the announcers,
+    payload, added frames, ``verdicts``, trust matrices (viewer -> subject -> value) and, with
+    semantics, the ``trust_adjusted`` extensions.  The bytes are exactly those of
+    ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``."""
+    w, f, n1, n2 = _TraceWriter(), trace.final, "\n  ", "\n    "
+    error = "null" if trace.error_step is None else _block(
+        "{}", [f'"step": {trace.error_step!r}', '"violations": ' + w.strs(trace.error, n2)], n1)
+    final = _block("{}", [
+        '"global": ' + w.frame(f.global_af.sorted_args(), f.global_af.sorted_attacks(), n2),
+        '"public": ' + w.frame(f.public_af.sorted_args(), f.public_af.sorted_attacks(), n2),
+        '"trust": ' + w.matrix(f.trust, n2),
+    ], n1)
+    steps = _block("[]", [w.step(st, n2) for st in trace.steps], n1)
+    return _block("{}", [f'"error": {error}', f'"final": {final}', f'"steps": {steps}'], "\n") + "\n"

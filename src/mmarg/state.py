@@ -23,6 +23,10 @@ from .semantics import ExtensionSet, SemanticsKind, semantics
 Pair = tuple[str, str]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Violation:
     condition: str
@@ -74,8 +78,8 @@ def validate(m: MmaState) -> list[Violation]:
     nesting, scope disjointness and attack faithfulness, factual arguments
     inside their holder's awareness, knowledge propagation of facts into
     their owner's scope, and the epistemic bounds on explicit
-    opponent-model overrides.  The trust order between agents is derived
-    on demand and needs no check here.
+    opponent-model overrides.  Trust entries are integers (not ``bool``);
+    the trust order between agents is derived on demand and needs no check.
     """
     out: list[Violation] = []
 
@@ -119,6 +123,8 @@ def validate(m: MmaState) -> list[Violation]:
         for name, mapping in (("semantics", m.sem_model), ("intra preference", m.intra), ("trust", m.trust)):
             if pair not in mapping:
                 out.append(Violation("structure", f"no {name} entry for pair ({v},{s})"))
+        if pair in m.trust and not _is_int(m.trust[pair]):
+            out.append(Violation("structure", f"trust({v},{s}) = {m.trust[pair]!r} is not an integer"))
         if pair in m.intra and v in m.aware and not m.intra[pair].factual <= m.aware[v].args:
             out.append(Violation("partial order 1", f"factual({v},{s}) lists arguments outside {v}'s awareness"))
 

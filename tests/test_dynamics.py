@@ -41,6 +41,12 @@ def test_policy_rejects_negative_deltas():
         TrustPolicy(-1, 0)
 
 
+@pytest.mark.parametrize("deltas", [(0.5, 1), (1, 2.0), (True, 1), (1, False), ("1", 1)])
+def test_policy_rejects_non_integer_deltas(deltas):
+    with pytest.raises(ValueError, match="integers"):
+        TrustPolicy(*deltas)
+
+
 def test_valid_payload_passes_checks(mafia):
     m = state_at(mafia, 3)
     event = ev(["a5"], [("a5", "a2"), ("a5", "a3")], announcers=("e2",))

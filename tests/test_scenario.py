@@ -1,13 +1,20 @@
 import json
 from pathlib import Path
+from typing import Any
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmarg.dynamics import TrustPolicy, Verdict
+from mmarg.frames import ArgumentationFrame
 from mmarg.scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
+    Trace,
+    TraceStep,
+    _frame_doc,
+    _pair_matrix_doc,
     bundled_scenarios,
     dumps_scenario,
     dumps_trace,
@@ -20,7 +27,7 @@ from mmarg.scenario import (
     state_at,
 )
 from mmarg.semantics import SemanticsKind, sorted_extensions
-from mmarg.state import validate
+from mmarg.state import MmaState, validate
 
 from conftest import load_bundled
 
@@ -198,3 +205,108 @@ def test_run_trace_matches_golden_file(name):
     # drift is a behaviour change.
     want = (GOLDEN / f"trace_{name}.json").read_text(encoding="utf-8")
     assert dumps_trace(run(_golden_scenario(name), with_semantics=True)) == want
+
+
+# ---------------------------------------------------------------------------
+# The trace writer against the generic encoder.
+
+def reference_trace_doc(trace: Trace) -> dict:
+    """The trace's document form, built the plain way; ``json.dumps`` of it is what ``dumps_trace`` must write."""
+    doc: dict[str, Any] = {
+        "steps": [],
+        "final": {
+            "public": _frame_doc(trace.final.public_af),
+            "global": _frame_doc(trace.final.global_af),
+            "trust": _pair_matrix_doc(trace.final.trust),
+        },
+        "error": None,
+    }
+    if trace.error_step is not None:
+        doc["error"] = {"step": trace.error_step, "violations": list(trace.error)}
+    for step in trace.steps:
+        entry = {
+            "index": step.index,
+            "announcers": list(step.announcers),
+            "payload": _frame_doc(step.payload),
+            "public_added": {
+                "args": list(step.public_added_args),
+                "attacks": [list(p) for p in step.public_added_attacks],
+            },
+            "global_added": {
+                "args": list(step.global_added_args),
+                "attacks": [list(p) for p in step.global_added_attacks],
+            },
+            "verdicts": _pair_matrix_doc(step.verdicts, lambda v: v.value),
+            "trust_before": _pair_matrix_doc(step.trust_before),
+            "trust_after": _pair_matrix_doc(step.trust_after),
+        }
+        if step.trust_adjusted is not None:
+            entry["trust_adjusted"] = {e: sorted_extensions(g) for e, g in sorted(step.trust_adjusted.items())}
+        doc["steps"].append(entry)
+    return doc
+
+
+def reference_dumps_trace(trace: Trace) -> str:
+    return json.dumps(reference_trace_doc(trace), indent=2, sort_keys=True) + "\n"
+
+
+# Ids that need escaping (quotes, backslashes, control and non-ASCII characters) next to plain ones.
+IDS = st.text(st.sampled_from('ab"\\\x00\x1f\n\té☃😀') | st.characters(), min_size=1, max_size=3)
+TRUST = st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def frames(draw) -> ArgumentationFrame:
+    args = sorted(draw(st.frozensets(IDS, max_size=4)))
+    if not args:
+        return ArgumentationFrame(frozenset(), frozenset())
+    ends = st.sampled_from(args)
+    return ArgumentationFrame(frozenset(args), draw(st.frozensets(st.tuples(ends, ends), max_size=4)))
+
+
+@st.composite
+def traces(draw) -> Trace:
+    agents = st.sampled_from(draw(st.lists(IDS, min_size=1, max_size=4, unique=True)))
+    pairs = st.tuples(agents, agents)
+    attacks = st.lists(st.tuples(IDS, IDS), max_size=3).map(tuple)
+    extensions = st.frozensets(st.frozensets(IDS, max_size=3), max_size=3)
+    steps = st.builds(
+        TraceStep,
+        index=st.integers(0, 10**6),
+        announcers=st.lists(agents, max_size=3).map(tuple),
+        payload=frames(),
+        public_added_args=st.lists(IDS, max_size=3).map(tuple),
+        public_added_attacks=attacks,
+        global_added_args=st.lists(IDS, max_size=3).map(tuple),
+        global_added_attacks=attacks,
+        verdicts=st.dictionaries(pairs, st.sampled_from(Verdict), max_size=5),
+        trust_before=st.dictionaries(pairs, TRUST, max_size=5),
+        trust_after=st.dictionaries(pairs, TRUST, max_size=5),
+        trust_adjusted=st.none() | st.dictionaries(agents, extensions, max_size=3),
+    )
+    final = MmaState(draw(frames()), draw(frames()), frozenset(), {}, {}, {}, {}, draw(st.dictionaries(pairs, TRUST, max_size=5)))
+    error_step = draw(st.none() | st.integers(1, 10**6))
+    return Trace(tuple(draw(st.lists(steps, max_size=2))), final, error_step, tuple(draw(st.lists(st.text(), max_size=3))))
+
+
+def _edge_trace(**step_fields) -> Trace:
+    empty = ArgumentationFrame(frozenset(), frozenset())
+    step = TraceStep(1, (), empty, (), (), (), (), {}, {}, {}, **step_fields)
+    return Trace((step,), MmaState(empty, empty, frozenset(), {}, {}, {}, {}, {}))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(traces())
+@example(Trace((), _edge_trace().final))
+@example(Trace((), _edge_trace().final, 3, ("(no leak) \"x\"", "")))
+@example(_edge_trace(trust_adjusted={}))
+@example(_edge_trace(trust_adjusted={"e1": frozenset({frozenset()}), "\u00e9\\": frozenset()}))
+def test_dumps_trace_writes_what_json_dumps_writes(trace):
+    assert dumps_trace(trace) == reference_dumps_trace(trace)
+
+
+@pytest.mark.parametrize("with_semantics", [False, True])
+@pytest.mark.parametrize("name", bundled_scenarios() + ["mafia_endgame_repeat_step3"])
+def test_fixture_traces_are_what_json_dumps_writes(name, with_semantics):
+    trace = run(_golden_scenario(name), with_semantics=with_semantics)
+    assert dumps_trace(trace) == reference_dumps_trace(trace)

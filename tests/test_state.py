@@ -61,6 +61,13 @@ def test_fixture_and_handmade_states_validate(mafia):
     assert validate(two_agent_state()) == []
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+def test_trust_entries_must_be_integers(value):
+    m = two_agent_state()
+    m = replace(m, trust={**m.trust, ("e1", "e2"): value})
+    assert [v.condition for v in validate(m)] == ["structure"]
+
+
 def test_overlapping_scopes_flagged():
     m = two_agent_state(scope={"e1": f(["a1", "a2"]), "e2": f(["a1"])},
                         global_af=f(["a1", "a2", "b1"], []),
