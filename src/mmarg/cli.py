@@ -79,7 +79,7 @@ def _policy(text: str | None) -> TrustPolicy | None:
         honest, dishonest = (int(x) for x in text.split(","))
         return TrustPolicy(honest, dishonest)
     except ValueError as exc:
-        raise ScenarioParseError(f"bad --policy value {text!r}: expected H,D") from exc
+        raise ScenarioParseError(f"bad --policy value {text!r}: {exc} (expected H,D)") from exc
 
 
 def _labels(sc: Scenario) -> dict[str, str]:

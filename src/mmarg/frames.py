@@ -34,17 +34,19 @@ class ArgumentationFrame:
     kind: str = DUNG
 
     def __post_init__(self) -> None:
-        if self.kind not in (DUNG, PRE_DUNG):
-            raise ValueError(f"unknown frame kind: {self.kind!r}")
-        for a in self.args:
+        args, kind = self.args, self.kind
+        if kind not in (DUNG, PRE_DUNG):
+            raise ValueError(f"unknown frame kind: {kind!r}")
+        for a in args:
             if not isinstance(a, str) or not a:
                 raise ValueError(f"argument ids must be nonempty strings, got {a!r}")
-        for s, t in self.attacks:
-            if self.kind == DUNG:
-                if s not in self.args or t not in self.args:
+        if kind == DUNG:
+            for s, t in self.attacks:
+                if s not in args or t not in args:
                     raise ValueError(f"attack ({s},{t}) dangles outside a closed frame")
-            else:
-                if s not in self.args and t not in self.args:
+        else:
+            for s, t in self.attacks:
+                if s not in args and t not in args:
                     raise ValueError(f"attack ({s},{t}) touches no argument of the frame")
 
     @classmethod
@@ -81,7 +83,9 @@ def combine(f1: ArgumentationFrame, f2: ArgumentationFrame, op: str = UNION) -> 
     The attack relation is combined first and then cut down to pairs whose
     endpoints both survive in the combined argument set, so the result is
     always a closed frame (this is what makes announcing a dangling attack
-    into an existing public record well defined).
+    into an existing public record well defined).  The union or
+    intersection of two closed frames is closed already, so only a
+    pre-dung input needs the cut.
     """
     if op == UNION:
         args = f1.args | f2.args
@@ -91,5 +95,6 @@ def combine(f1: ArgumentationFrame, f2: ArgumentationFrame, op: str = UNION) -> 
         attacks = f1.attacks & f2.attacks
     else:
         raise ValueError(f"unknown combine op: {op!r}")
-    attacks = frozenset((s, t) for s, t in attacks if s in args and t in args)
+    if f1.kind != DUNG or f2.kind != DUNG:
+        attacks = frozenset((s, t) for s, t in attacks if s in args and t in args)
     return ArgumentationFrame(args, attacks, DUNG)

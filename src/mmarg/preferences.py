@@ -57,10 +57,12 @@ def adjust(f: ArgumentationFrame, order: IntraPreference | InterPreference) -> A
 
     The argument set never changes; a reversed attack may coincide with an
     existing opposite attack, in which case the pair collapses to one edge.
+    When no attack is reversed, ``f`` itself is returned.
     """
-    attacks = frozenset(
-        (t, s) if order.strictly_less(s, t) else (s, t) for s, t in f.attacks
-    )
+    flipped = [(s, t) for s, t in f.attacks if order.strictly_less(s, t)]
+    if not flipped:
+        return f
+    attacks = f.attacks.difference(flipped).union([(t, s) for s, t in flipped])
     return ArgumentationFrame(f.args, attacks, f.kind)
 
 

@@ -1,10 +1,13 @@
 """Exact acceptability semantics for closed argumentation frames.
 
+The grounded extension is the least fixpoint of the defense operator.
 Complete extensions are enumerated through a three-valued labelling search
-(every argument ends up accepted, rejected, or undecided) with constraint
-propagation; preferred extensions are the maximal complete ones and the
-grounded extension is the least fixpoint of the defense operator.  All
-results are exact sets of extensions, never approximations.
+(every argument ends up accepted, rejected, or undecided) that starts from
+the grounded labelling, which every complete labelling extends: the
+grounded set is accepted, everything it attacks is rejected, and only the
+arguments left undecided are searched.  Preferred extensions are the
+maximal complete ones.  All results are exact sets of extensions, never
+approximations.
 
 The brute-force subset filter in :mod:`mmarg.oracle` re-derives the same
 semantics straight from the definitions and deliberately shares none of
@@ -85,15 +88,26 @@ def _masks_to_extensions(masks: Iterable[int], order: list[str]) -> ExtensionSet
 def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[int]:
     """All accepted-sets of legal complete labellings, as bitmasks.
 
-    Arguments are labelled in index order.  Accepting an argument demands no
-    accepted or undecided attacker/target so far and no self-attack;
-    rejecting demands an accepted attacker now or a still-unassigned one
-    that may yet be accepted; leaving undecided demands no accepted
-    neighbour and some attacker that is not rejected.  Rejection and
-    undecidedness carry obligations that only the finished labelling can
+    Every complete labelling extends the grounded one, so the grounded set
+    starts accepted, everything it attacks starts rejected, and only the
+    arguments left over are searched, in index order.  Accepting an argument
+    demands no accepted or undecided attacker/target so far and no
+    self-attack; rejecting demands an accepted attacker now or a
+    still-unassigned one that may yet be accepted; leaving undecided demands
+    no accepted neighbour and some attacker that is not rejected.  Rejection
+    and undecidedness carry obligations that only the finished labelling can
     discharge, so leaves are re-checked.
     """
-    full = (1 << n) - 1
+    g = _grounded_mask(n, attackers, targets)
+    g_out = _attacked_by(g, targets)
+    decided = g | g_out
+    free = [i for i in range(n) if not decided >> i & 1]
+    if not free:
+        return [g]
+    # later[k]: the free arguments still unassigned once free[k] is labelled.
+    later = [0] * len(free)
+    for k in range(len(free) - 1, 0, -1):
+        later[k - 1] = later[k] | 1 << free[k]
     results: list[int] = []
 
     def leaf_ok(in_m: int, out_m: int, un_m: int) -> bool:
@@ -111,23 +125,23 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
             m ^= b
         return True
 
-    def search(i: int, in_m: int, out_m: int, un_m: int) -> None:
-        if i == n:
+    def search(k: int, in_m: int, out_m: int, un_m: int) -> None:
+        if k == len(free):
             if leaf_ok(in_m, out_m, un_m):
                 results.append(in_m)
             return
+        i = free[k]
         b = 1 << i
         att = attackers[i]
         tgt = targets[i]
-        unassigned = full & ~((b << 1) - 1)
         if not att & b and not (att | tgt) & (in_m | un_m):
-            search(i + 1, in_m | b, out_m, un_m)
-        if att & in_m or att & unassigned:
-            search(i + 1, in_m, out_m | b, un_m)
+            search(k + 1, in_m | b, out_m, un_m)
+        if att & in_m or att & later[k]:
+            search(k + 1, in_m, out_m | b, un_m)
         if not (att | tgt) & in_m and att & ~out_m:
-            search(i + 1, in_m, out_m, un_m | b)
+            search(k + 1, in_m, out_m, un_m | b)
 
-    search(0, 0, 0, 0)
+    search(0, g, g_out, 0)
     return results
 
 
@@ -135,12 +149,7 @@ def _grounded_mask(n: int, attackers: list[int], targets: list[int]) -> int:
     """Least fixpoint of the defense operator, iterated up from nothing."""
     in_m = 0
     while True:
-        attacked = 0
-        m = in_m
-        while m:
-            b = m & -m
-            attacked |= targets[b.bit_length() - 1]
-            m ^= b
+        attacked = _attacked_by(in_m, targets)
         new_m = 0
         for i in range(n):
             if not attackers[i] & ~attacked:
@@ -148,6 +157,16 @@ def _grounded_mask(n: int, attackers: list[int], targets: list[int]) -> int:
         if new_m == in_m:
             return in_m
         in_m = new_m
+
+
+def _attacked_by(in_m: int, targets: list[int]) -> int:
+    """Everything some member of ``in_m`` attacks, as a bitmask."""
+    attacked = 0
+    while in_m:
+        b = in_m & -in_m
+        attacked |= targets[b.bit_length() - 1]
+        in_m ^= b
+    return attacked
 
 
 def complete_sets(f: ArgumentationFrame) -> ExtensionSet:

@@ -113,6 +113,23 @@ def test_run_bad_policy(capsys):
     assert main(["run", FIXTURE, "--policy", "fast"]) == EX_PARSE
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("-1,1", "trust deltas must be non-negative"),
+        ("1,-2", "trust deltas must be non-negative"),
+        ("1.5,1", "invalid literal for int() with base 10: '1.5'"),
+        ("1", "not enough values to unpack"),
+    ],
+)
+def test_run_bad_policy_names_the_reason(capsys, value, reason):
+    assert main(["run", FIXTURE, f"--policy={value}"]) == EX_PARSE
+    err = capsys.readouterr().err
+    assert f"bad --policy value {value!r}: " in err
+    assert reason in err
+    assert "(expected H,D)" in err
+
+
 def test_run_invalid_event_exits_2(tmp_path, capsys):
     doc = json.loads(dumps_scenario(load_bundled("mafia_endgame")))
     doc["script"].append(doc["script"][2])  # verbatim repeat duplicates public attacks

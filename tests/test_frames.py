@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmarg.frames import (
     DUNG,
@@ -102,3 +102,101 @@ def test_restrict_idempotent(frame):
 def test_union_idempotent(frame):
     assert combine(frame, frame, UNION) == frame
     assert combine(frame, frame, INTERSECTION) == frame
+
+
+def reference_check(args, attacks, kind):
+    """The frame invariants read literally off the definition, one member at a time."""
+    if kind not in (DUNG, PRE_DUNG):
+        raise ValueError(kind)
+    for a in args:
+        if not isinstance(a, str) or a == "":
+            raise ValueError(a)
+    for attack in attacks:
+        if len(attack) != 2:
+            raise ValueError(attack)
+    for s, t in attacks:
+        inside = (s in args) + (t in args)
+        if inside < (2 if kind == DUNG else 1):
+            raise ValueError((s, t))
+
+
+def _outcome(build, *inputs):
+    try:
+        build(*inputs)
+    except Exception as exc:  # compared by type below
+        return type(exc)
+    return None
+
+
+IDS = st.sampled_from(["a", "b", "c", "", 7])
+ENDS = st.sampled_from(["a", "b", "c", "z"])
+PAIRS = st.tuples(ENDS, ENDS)
+# Mostly pairs, so that frames with several attacks reach the closure checks.
+ATTACKS = st.one_of(PAIRS, PAIRS, PAIRS, st.tuples(ENDS), st.tuples(ENDS, ENDS, ENDS))
+
+
+@given(
+    st.frozensets(IDS, max_size=4),
+    st.frozensets(ATTACKS, max_size=4),
+    st.sampled_from([DUNG, PRE_DUNG, "other"]),
+)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(frozenset({"a", 7}), frozenset(), DUNG)
+@example(frozenset({"a", ""}), frozenset(), DUNG)
+@example(frozenset({"a"}), frozenset({("z", "a")}), DUNG)
+@example(frozenset({"a"}), frozenset({("a", "z")}), DUNG)
+@example(frozenset({"a"}), frozenset({("y", "z")}), PRE_DUNG)
+@example(frozenset({"a"}), frozenset({("a", "z"), ("y", "z")}), PRE_DUNG)
+@example(frozenset({"a", "b", "c"}), frozenset({("a", "b", "c")}), DUNG)
+@example(frozenset({"a", "b", "c"}), frozenset({("a", "b", "c")}), PRE_DUNG)
+def test_frame_accepts_and_rejects_what_the_definition_does(args, attacks, kind):
+    got = _outcome(ArgumentationFrame, args, attacks, kind)
+    assert got == _outcome(reference_check, args, attacks, kind)
+    assert got in (None, ValueError)
+
+
+@pytest.mark.parametrize(
+    "args, attacks, kind, message",
+    [
+        ({"a", 7}, [], DUNG, "argument ids must be nonempty strings, got 7"),
+        ({"a", ""}, [], DUNG, "argument ids must be nonempty strings, got ''"),
+        ({"a"}, [("z", "a")], DUNG, "attack (z,a) dangles outside a closed frame"),
+        ({"a"}, [("a", "z")], DUNG, "attack (a,z) dangles outside a closed frame"),
+        ({"a"}, [("y", "z")], PRE_DUNG, "attack (y,z) touches no argument of the frame"),
+        ({"a"}, [], "other", "unknown frame kind: 'other'"),
+    ],
+)
+def test_frame_names_the_offender(args, attacks, kind, message):
+    with pytest.raises(ValueError) as info:
+        ArgumentationFrame(frozenset(args), frozenset(attacks), kind)
+    assert str(info.value) == message
+
+
+def reference_combine(f1, f2, op):
+    """Combine, then cut every attack that leaves the combined argument set."""
+    args = f1.args | f2.args if op == UNION else f1.args & f2.args
+    attacks = f1.attacks | f2.attacks if op == UNION else f1.attacks & f2.attacks
+    return ArgumentationFrame(args, frozenset((s, t) for s, t in attacks if s in args and t in args))
+
+
+@st.composite
+def any_frames(draw, pool=("b0", "b1", "b2", "b3", "b4")):
+    """Closed frames over part of ``pool``, or pre-dung frames whose attacks reach outside it."""
+    args = draw(st.frozensets(st.sampled_from(pool), max_size=len(pool)))
+    pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+    attacks = draw(st.frozensets(pairs, max_size=10))
+    if draw(st.booleans()):
+        return ArgumentationFrame(args, frozenset((s, t) for s, t in attacks if s in args and t in args))
+    return ArgumentationFrame(args, frozenset(a for a in attacks if not args.isdisjoint(a)), PRE_DUNG)
+
+
+@given(any_frames(), any_frames(), st.sampled_from([UNION, INTERSECTION]))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_combine_is_the_cut_definition(f1, f2, op):
+    assert combine(f1, f2, op) == reference_combine(f1, f2, op)
+
+
+def test_pre_dung_payload_is_cut_on_intersection():
+    payload = f(["a5"], [("a5", "a2")], kind=PRE_DUNG)
+    pub = f(["a2", "a5"], [("a5", "a2")])
+    assert combine(payload, pub, INTERSECTION) == f(["a5"])

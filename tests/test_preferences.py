@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmarg.frames import ArgumentationFrame
 from mmarg.preferences import (
@@ -43,8 +43,11 @@ def test_adjust_reverses_single_attack():
 
 def test_adjust_without_strict_pairs_is_identity():
     frame = f(["a1", "a2"], [("a1", "a2")])
-    assert adjust(frame, InterPreference("e1", frozenset())) == frame
-    assert adjust(frame, IntraPreference.of([])) == frame
+    assert adjust(frame, InterPreference("e1", frozenset())) is frame
+    assert adjust(frame, IntraPreference.of([])) is frame
+    # Strict pairs that no attack runs against flip nothing either.
+    assert adjust(frame, InterPreference("e1", frozenset({("a2", "a1")}))) is frame
+    assert adjust(frame, IntraPreference.of(["a1"])) is frame
 
 
 def test_adjust_collapses_mutual_attack():
@@ -68,6 +71,36 @@ def frame_and_split(draw):
     attacks = draw(st.sets(st.tuples(st.sampled_from(args), st.sampled_from(args)), max_size=12))
     factual = draw(st.sets(st.sampled_from(args)))
     return ArgumentationFrame.of(args, attacks), IntraPreference.of(factual)
+
+
+def reference_adjust(f, order):
+    """Reverse each attack on its own; the argument set never changes."""
+    attacks = frozenset((t, s) if order.strictly_less(s, t) else (s, t) for s, t in f.attacks)
+    return ArgumentationFrame(f.args, attacks, f.kind)
+
+
+@st.composite
+def frame_and_order(draw):
+    frame, intra = draw(frame_and_split())
+    if draw(st.booleans()):
+        return frame, intra
+    args = sorted(frame.args)
+    pairs = draw(st.frozensets(st.tuples(st.sampled_from(args), st.sampled_from(args)), max_size=4))
+    # Strict pairs taken from the frame's own attacks make reversals common.
+    flips = draw(st.frozensets(st.sampled_from(sorted(frame.attacks)))) if frame.attacks else frozenset()
+    return frame, InterPreference("e1", pairs | flips)
+
+
+@given(frame_and_order())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example((f(["a1", "a3"], [("a1", "a3"), ("a3", "a1")]), InterPreference("e1", frozenset({("a3", "a1")}))))
+@example((f(["a1", "a3"], [("a1", "a3"), ("a3", "a1")]), IntraPreference.of(["a1"])))
+def test_adjust_is_the_per_attack_reversal(case):
+    frame, order = case
+    adjusted = adjust(frame, order)
+    assert adjusted == reference_adjust(frame, order)
+    if not any(order.strictly_less(s, t) for s, t in frame.attacks):
+        assert adjusted is frame
 
 
 @given(frame_and_split())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,3 +157,64 @@ def test_lattice_properties(frame):
 def test_matches_brute_force_oracle(frame):
     for kind in SemanticsKind:
         assert semantics(kind, frame) == oracle_semantics(kind, frame)
+
+
+def _chain(n, prefix="x"):
+    args = [f"{prefix}{i}" for i in range(n)]
+    return args, list(zip(args, args[1:]))
+
+
+def _cycle(n, prefix="y"):
+    args = [f"{prefix}{i}" for i in range(n)]
+    return args, [(args[i], args[(i + 1) % n]) for i in range(n)]
+
+
+def _join(*parts, links=()):
+    return f([a for args, _ in parts for a in args], [x for _, atts in parts for x in atts] + list(links))
+
+
+# Frames named by how much of them the grounded labelling decides: all,
+# none, or part; the search only runs over what it leaves undecided.
+GROUNDED_FAMILIES = {
+    "chain": (_join(_chain(5)), "all"),
+    "self-attack": (f(["s"], [("s", "s")]), "none"),
+    "self-attack into a chain": (_join((["s"], [("s", "s")]), _chain(2), links=[("s", "x0")]), "none"),
+    "unattacked beside a self-attack": (f(["u", "s"], [("s", "s")]), "part"),
+    "odd cycle": (_join(_cycle(3)), "none"),
+    "even cycle": (_join(_cycle(4)), "none"),
+    "chain feeding an odd cycle": (_join(_chain(2), _cycle(3), links=[("x1", "y0")]), "part"),
+    "chain feeding an even cycle": (_join(_chain(2), _cycle(4), links=[("x1", "y0")]), "part"),
+    "unattacked into an odd cycle": (_join(_chain(1), _cycle(3), links=[("x0", "y0")]), "all"),
+    "unattacked into an even cycle": (_join(_chain(1), _cycle(4), links=[("x0", "y0")]), "all"),
+    "even cycle feeding an odd cycle": (_join(_cycle(2, "x"), _cycle(3), links=[("x1", "y0")]), "none"),
+}
+
+
+def _decided_by_grounded(frame):
+    (g,) = grounded_set(frame)
+    decided = g | {t for s, t in frame.attacks if s in g}
+    if decided == frame.args:
+        return "all"
+    return "part" if decided else "none"
+
+
+@pytest.mark.parametrize("name", sorted(GROUNDED_FAMILIES))
+def test_grounded_seeded_search_matches_oracle_on_families(name):
+    frame, decided = GROUNDED_FAMILIES[name]
+    assert _decided_by_grounded(frame) == decided
+    for kind in SemanticsKind:
+        assert semantics(kind, frame) == oracle_semantics(kind, frame)
+
+
+def test_grounded_seeded_search_matches_oracle_on_random_frames():
+    rng = random.Random(7)
+    seen = set()
+    for density in (0.05, 0.1, 0.2, 0.3, 0.5):
+        for _ in range(24):
+            args = [f"r{i}" for i in range(rng.randint(1, 10))]
+            attacks = [(a, b) for a in args for b in args if rng.random() < density]
+            frame = f(args, attacks)
+            seen.add(_decided_by_grounded(frame))
+            for kind in SemanticsKind:
+                assert semantics(kind, frame) == oracle_semantics(kind, frame)
+    assert seen == {"all", "none", "part"}
