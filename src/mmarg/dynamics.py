@@ -111,20 +111,25 @@ def announce(m: MmaState, ev: AnnouncementEvent) -> tuple[MmaState, Announcement
     Global, public, every awareness frame and every override take the
     payload's union.  Each scope follows the new global frame: it keeps its
     arguments and holds every global attack among them, so an attack
-    fabricated between two arguments of one scope lands there too.  Agents,
-    semantics models, fact splits and trust stay put (trust moves only in
-    revision).
+    fabricated between two arguments of one scope lands there too.  A scope
+    is rebuilt only when such a newly global attack lands inside it; every
+    other scope keeps its frame.  Agents, semantics models, fact splits and
+    trust stay put (trust moves only in revision).
     """
     violations = check_announcement(m, ev)
     if violations:
         raise AnnouncementError(violations)
     payload = ev.payload
     global_af = combine(m.global_af, payload, UNION)
+    fresh = global_af.attacks - m.global_af.attacks
     m2 = replace(
         m,
         global_af=global_af,
         public_af=combine(m.public_af, payload, UNION),
-        scope={e: restrict(global_af, f.args) for e, f in m.scope.items()},
+        scope={
+            e: restrict(global_af, f.args) if any(s in f.args and t in f.args for s, t in fresh) else f
+            for e, f in m.scope.items()
+        },
         aware={e: combine(f, payload, UNION) for e, f in m.aware.items()},
         overrides={pair: combine(f, payload, UNION) for pair, f in m.overrides.items()},
     )
@@ -174,7 +179,9 @@ def step(
     The event is checked and merged once; every ordered pair of distinct
     agents is judged on the announced state; each verdict then shifts its
     pair's trust by the policy.  Revision moves trust and nothing else.
-    Each distinct (kind, frame) the verdicts need is solved once, through a
+    Only subjects whose scope the payload meets are judged: every verdict
+    on any other subject is undetermined without building a frame.  Each
+    distinct (kind, frame) the verdicts need is solved once, through a
     memo made for this call.  Raises :class:`AnnouncementError` for an
     invalid event.
     """
@@ -187,8 +194,9 @@ def _step(
     """:func:`step` with every verdict solved through ``solve``, a memo the caller owns."""
     _, _, m2 = announce(m, ev)
     order = sorted(m.agents)
+    touched = {s for s in order if not ev.payload.args.isdisjoint(m2.scope[s].args)}
     verdicts = {
-        (v, s): _verdict(m2, v, s, ev.payload, solve)
+        (v, s): _verdict(m2, v, s, ev.payload, solve) if s in touched else Verdict.UNDETERMINED
         for v in order
         for s in order
         if v != s

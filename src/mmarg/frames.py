@@ -83,18 +83,24 @@ def combine(f1: ArgumentationFrame, f2: ArgumentationFrame, op: str = UNION) -> 
     The attack relation is combined first and then cut down to pairs whose
     endpoints both survive in the combined argument set, so the result is
     always a closed frame (this is what makes announcing a dangling attack
-    into an existing public record well defined).  The union or
-    intersection of two closed frames is closed already, so only a
-    pre-dung input needs the cut.
+    into an existing public record well defined).  When the result equals
+    a closed input, that input itself is returned: for a union, a closed
+    frame that contains the other; for an intersection, a closed frame that
+    lies inside the other.  The union or intersection of two closed frames
+    is closed already, so only a pre-dung input needs the cut.
     """
-    if op == UNION:
+    if op not in (UNION, INTERSECTION):
+        raise ValueError(f"unknown combine op: {op!r}")
+    union = op == UNION
+    for a, b in ((f1, f2), (f2, f1)):
+        if a.kind == DUNG and (a.contains(b) if union else b.contains(a)):
+            return a
+    if union:
         args = f1.args | f2.args
         attacks = f1.attacks | f2.attacks
-    elif op == INTERSECTION:
+    else:
         args = f1.args & f2.args
         attacks = f1.attacks & f2.attacks
-    else:
-        raise ValueError(f"unknown combine op: {op!r}")
     if f1.kind != DUNG or f2.kind != DUNG:
         attacks = frozenset((s, t) for s, t in attacks if s in args and t in args)
     return ArgumentationFrame(args, attacks, DUNG)

@@ -74,26 +74,26 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
     neither to be factual; the argument of the strictly less trusted owner
     then sits below the other's, and equally trusted owners leave the pair
     unordered.  Recomputed on demand: both the public record and the trust
-    matrix move under updates.
+    matrix move under updates.  The argument -> owner map is built only once
+    some pair has passed the other filters.
     """
     if e not in m.agents:
         raise ValueError(f"unknown agent: {e!r}")
-    owner: dict[str, str] = {}
-    for agent in m.agents:
-        for a in m.scope[agent].args:
-            owner[a] = agent
     aware_args = m.aware[e].args
     factual = m.intra[(e, e)].factual
     pub = m.public_af.attacks
+    owner: dict[str, str] | None = None
     strict = set()
     for a1, a2 in pub:
         if (a2, a1) not in pub:
             continue
-        if a1 not in owner or a2 not in owner:
-            continue
         if a1 not in aware_args or a2 not in aware_args:
             continue
         if a1 in factual or a2 in factual:
+            continue
+        if owner is None:
+            owner = {a: agent for agent in m.agents for a in m.scope[agent].args}
+        if a1 not in owner or a2 not in owner:
             continue
         if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
             strict.add((a1, a2))

@@ -424,7 +424,12 @@ def _block(brackets: str, items: list[str], nl: str) -> str:
 
 class _TraceWriter(dict):
     """One trace's parts rendered as ``json.dumps(..., indent=2, sort_keys=True)`` renders them, ``nl``
-    before the closing bracket.  As a dict it maps each string to its JSON literal, quoted once per trace."""
+    before the closing bracket.  As a dict it maps each string to its JSON literal, quoted once per trace;
+    ``layouts`` maps each matrix shape, a (``nl``, key set), to its ``%``-template and sorted keys."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.layouts: dict[tuple[str, frozenset[Pair]], tuple[str, list[Pair]]] = {}
 
     def __missing__(self, text: str) -> str:
         self[text] = quoted = encode_basestring_ascii(text)
@@ -440,11 +445,18 @@ class _TraceWriter(dict):
         return _block("{}", ['"args": ' + self.strs(args, nl + "  "), '"attacks": ' + self.lists(attacks, nl + "  ")], nl)
 
     def matrix(self, values: Mapping[Pair, Any], nl: str, conv: Any = int.__repr__) -> str:
-        rows: dict[str, list[str]] = {}
-        for (v, s), value in sorted(values.items()):
-            rows.setdefault(v, []).append(f"{self[s]}: {conv(value)}")
-        inner = nl + "  "
-        return _block("{}", [f"{self[v]}: " + _block("{}", row, inner) for v, row in rows.items()], nl)
+        shape = (nl, frozenset(values))
+        layout = self.layouts.get(shape)
+        if layout is None:
+            keys = sorted(values)
+            rows: dict[str, list[str]] = {}
+            for v, s in keys:
+                rows.setdefault(v, []).append(self[s].replace("%", "%%") + ": %s")
+            inner = nl + "  "
+            template = _block("{}", [self[v].replace("%", "%%") + ": " + _block("{}", row, inner) for v, row in rows.items()], nl)
+            layout = self.layouts[shape] = (template, keys)
+        template, keys = layout
+        return template % tuple([conv(values[k]) for k in keys])
 
     def step(self, st: TraceStep, nl: str) -> str:
         i = nl + "  "
@@ -470,7 +482,8 @@ def dumps_trace(trace: Trace) -> str:
     ``step`` and its ``violations``), the ``final`` frames and trust, and per step the announcers,
     payload, added frames, ``verdicts``, trust matrices (viewer -> subject -> value) and, with
     semantics, the ``trust_adjusted`` extensions.  The bytes are exactly those of
-    ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``."""
+    ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``.  Each matrix shape (indent and key
+    set) is laid out once per call and then only filled in with each matrix's values."""
     w, f, n1, n2 = _TraceWriter(), trace.final, "\n  ", "\n    "
     error = "null" if trace.error_step is None else _block(
         "{}", [f'"step": {trace.error_step!r}', '"violations": ' + w.strs(trace.error, n2)], n1)

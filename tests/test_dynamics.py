@@ -16,9 +16,11 @@ from mmarg.dynamics import (
     step,
     update,
 )
-from mmarg.frames import PRE_DUNG, ArgumentationFrame
+from mmarg.frames import PRE_DUNG, ArgumentationFrame, restrict
+from mmarg.preferences import IntraPreference
 from mmarg.scenario import bundled_scenarios, run, state_at
-from mmarg.state import adjusted_perceived, public_model, trust_adjusted_public_model, validate
+from mmarg.semantics import SemanticsKind
+from mmarg.state import MmaState, adjusted_perceived, public_model, trust_adjusted_public_model, validate
 
 from conftest import load_bundled, random_announcement, random_state
 
@@ -136,6 +138,62 @@ def test_accepted_announcements_leave_valid_states():
             assert validate(m) == []
             accepted += 1
     assert accepted > 300
+
+
+def _scopes_after(m, event):
+    """Announce, check each scope against the new global frame, and count the scopes rebuilt."""
+    _, _, after = announce(m, event)
+    fresh = after.global_af.attacks - m.global_af.attacks
+    rebuilt = 0
+    for e, before in m.scope.items():
+        assert after.scope[e] == restrict(after.global_af, before.args)
+        if any(s in before.args and t in before.args for s, t in fresh):
+            rebuilt += 1
+        else:
+            assert after.scope[e] is before
+    return after, rebuilt
+
+
+def test_announce_rebuilds_only_scopes_a_new_global_attack_lands_in():
+    for name in bundled_scenarios():
+        sc = load_bundled(name)
+        m = sc.initial
+        for event in sc.script:
+            _scopes_after(m, event)
+            m = update(m, event, sc.policy)
+    rng = random.Random(8)
+    rebuilt = kept = 0
+    for _ in range(150):
+        m = random_state(rng, max_scope=3)
+        for _ in range(rng.randint(1, 3)):
+            event = random_announcement(rng, m)
+            if event is None:
+                break
+            m, n = _scopes_after(m, event)
+            rebuilt += n
+            kept += len(m.agents) - n
+    assert rebuilt > 10 and kept > 100
+
+
+def test_fabricated_attack_inside_a_two_argument_scope_rebuilds_that_scope_alone():
+    agents = ["e1", "e2"]
+    pairs = [(v, s) for v in agents for s in agents]
+    m = MmaState(
+        global_af=ArgumentationFrame.of(["x0", "x1", "x2"], [("x2", "x0")]),
+        public_af=ArgumentationFrame.of(["x2"]),
+        agents=frozenset(agents),
+        scope={"e1": ArgumentationFrame.of(["x0", "x1"]), "e2": ArgumentationFrame.of(["x2"])},
+        aware={"e1": ArgumentationFrame.of(["x0", "x1", "x2"], [("x2", "x0")]), "e2": ArgumentationFrame.of(["x2"])},
+        sem_model={pair: SemanticsKind.GROUNDED for pair in pairs},
+        intra={pair: IntraPreference.of([]) for pair in pairs},
+        trust={pair: 0 for pair in pairs},
+    )
+    assert validate(m) == []
+    after, rebuilt = _scopes_after(m, ev(["x0", "x1"], [("x0", "x1")]))
+    assert rebuilt == 1
+    assert after.scope["e1"] == ArgumentationFrame.of(["x0", "x1"], [("x0", "x1")])
+    assert after.scope["e2"] is m.scope["e2"]
+    assert validate(after) == []
 
 
 def test_restrict_extensions_examples():
@@ -260,26 +318,36 @@ def test_honest_and_dishonest_conditions_are_mutually_exclusive():
         done += 1
 
 
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Every (kind, frame) the solver is asked for, in order.
+def _record_calls(monkeypatch, fn):
+    """The argument tuples of every call to ``fn``, in order.
 
-    The solver is wrapped by rebinding each ``mmarg`` module attribute that
-    names it, so a call through any alias is counted.
+    ``fn`` is wrapped by rebinding each ``mmarg`` module attribute that
+    names it, so a call through any alias is recorded.
     """
-    solve = sys.modules["mmarg.semantics"].semantics
     calls = []
 
-    def counted(kind, f):
-        calls.append((kind, f))
-        return solve(kind, f)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "mmarg" or name.startswith("mmarg."):
             for key, value in list(vars(mod).items()):
-                if value is solve:
+                if value is fn:
                     monkeypatch.setattr(mod, key, counted)
     return calls
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Every (kind, frame) the solver is asked for, in order."""
+    return _record_calls(monkeypatch, sys.modules["mmarg.semantics"].semantics)
+
+
+@pytest.fixture
+def perceived_calls(monkeypatch):
+    """Every (state, viewer, subject) a local frame is built for, in order."""
+    return _record_calls(monkeypatch, adjusted_perceived)
 
 
 def _verdict_solves(m2, event):
@@ -321,6 +389,25 @@ def test_step_solves_each_distinct_kind_and_frame_once(solver_calls):
         assert set(solver_calls) == _verdict_solves(m2, event)
         for (v, s), verdict in verdicts.items():
             assert detect(m, v, s, event) is verdict
+
+
+def test_step_judges_only_subjects_whose_scope_the_payload_meets(perceived_calls):
+    cases = _step_cases()
+    untouched = 0
+    for m, event, policy in cases:
+        perceived_calls.clear()
+        m2, verdicts, _ = step(m, event, policy)
+        touched = {
+            (v, s) for v, s in verdicts if event.payload.args & m2.scope[s].args
+        }
+        built = [(v, s) for _, v, s in perceived_calls]
+        assert sorted(built) == sorted(touched)
+        for pair, verdict in verdicts.items():
+            if pair not in touched:
+                untouched += 1
+                assert verdict is Verdict.UNDETERMINED
+            assert detect(m, *pair, event) is verdict
+    assert untouched > 100
 
 
 def test_run_solves_each_step_once_and_keeps_nothing_between_calls(solver_calls):

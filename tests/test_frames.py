@@ -200,3 +200,43 @@ def test_pre_dung_payload_is_cut_on_intersection():
     payload = f(["a5"], [("a5", "a2")], kind=PRE_DUNG)
     pub = f(["a2", "a5"], [("a5", "a2")])
     assert combine(payload, pub, INTERSECTION) == f(["a5"])
+
+
+def _returns_input(f1, f2, op):
+    """The input ``combine`` may hand back: a closed frame the result equals (union: it contains the other)."""
+    def fits(a, b):
+        return a.kind == DUNG and (a.contains(b) if op == UNION else b.contains(a))
+    return fits(f1, f2), fits(f2, f1)
+
+
+@given(any_frames(), any_frames(), st.sampled_from([UNION, INTERSECTION]))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(f(["b0", "b1"], [("b0", "b1")]), f(["b0"], [("b0", "b1")], PRE_DUNG), UNION)
+@example(f(["b0"], [("b0", "b1")], PRE_DUNG), f(["b0", "b1"], [("b0", "b1")]), UNION)
+@example(f(["b0"]), f(["b0", "b1"], [("b0", "b1")], PRE_DUNG), INTERSECTION)
+@example(f(["b0", "b1"], [("b0", "b1")], PRE_DUNG), f(["b0"]), INTERSECTION)
+@example(f(["b0"]), f(["b0"]), UNION)
+def test_combine_returns_an_input_exactly_when_it_is_closed_and_the_result(f1, f2, op):
+    out = combine(f1, f2, op)
+    assert out == reference_combine(f1, f2, op)
+    assert out.kind == DUNG
+    first, second = _returns_input(f1, f2, op)
+    if out is f1:
+        assert first
+    if out is f2:
+        assert second
+    assert (out is f1 or out is f2) == (first or second)
+
+
+@given(any_frames(), st.sampled_from([UNION, INTERSECTION]))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_pre_dung_input_inside_a_closed_frame_gives_a_closed_result(payload, op):
+    if payload.kind != PRE_DUNG:
+        payload = ArgumentationFrame(payload.args, payload.attacks, PRE_DUNG)
+    ends = payload.args.union(*payload.attacks)
+    closed = ArgumentationFrame(ends, payload.attacks)
+    assert closed.contains(payload)
+    for out in (combine(closed, payload, op), combine(payload, closed, op)):
+        assert out.kind == DUNG
+        assert all(s in out.args and t in out.args for s, t in out.attacks)
+        assert out == reference_combine(closed, payload, op)

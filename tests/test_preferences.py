@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,9 +11,10 @@ from mmarg.preferences import (
     adjust,
     derive_inter,
 )
+from mmarg.dynamics import update
 from mmarg.scenario import state_at
 
-from conftest import random_state
+from conftest import random_announcement, random_state
 
 
 def f(args, attacks=()):
@@ -148,3 +150,52 @@ def test_derived_leq_pairs_are_public_mutual_conflicts():
                 assert a1 not in m.intra[(e, e)].factual
                 assert a2 not in m.intra[(e, e)].factual
     assert found
+
+
+def reference_derive_inter(m, e):
+    """The trust order with the argument -> owner map built up front, every filter in its original order."""
+    if e not in m.agents:
+        raise ValueError(f"unknown agent: {e!r}")
+    owner: dict[str, str] = {}
+    for agent in m.agents:
+        for a in m.scope[agent].args:
+            owner[a] = agent
+    aware_args = m.aware[e].args
+    factual = m.intra[(e, e)].factual
+    pub = m.public_af.attacks
+    strict = set()
+    for a1, a2 in pub:
+        if (a2, a1) not in pub:
+            continue
+        if a1 not in owner or a2 not in owner:
+            continue
+        if a1 not in aware_args or a2 not in aware_args:
+            continue
+        if a1 in factual or a2 in factual:
+            continue
+        if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
+            strict.add((a1, a2))
+    return InterPreference(e, frozenset(strict))
+
+
+def test_derive_inter_matches_the_eager_owner_map_reference():
+    rng = random.Random(404)
+    mutual_counts = []
+    ordered = 0
+    for _ in range(150):
+        m = random_state(rng, max_scope=4, density=rng.choice([0.1, 0.5]))
+        for _ in range(rng.randint(0, 3)):
+            event = random_announcement(rng, m)
+            if event is None:
+                break
+            m = update(m, event)
+        m = replace(m, trust={pair: rng.randint(-2, 2) for pair in sorted(m.trust)})
+        pub = m.public_af.attacks
+        mutual_counts.append(sum(1 for a1, a2 in pub if a1 < a2 and (a2, a1) in pub))
+        for e in sorted(m.agents):
+            inter = derive_inter(m, e)
+            assert inter == reference_derive_inter(m, e)
+            ordered += bool(inter.strict)
+    assert ordered > 20
+    assert mutual_counts.count(0) > 20
+    assert sum(1 for n in mutual_counts if n >= 2) > 20

@@ -250,8 +250,9 @@ def reference_dumps_trace(trace: Trace) -> str:
     return json.dumps(reference_trace_doc(trace), indent=2, sort_keys=True) + "\n"
 
 
-# Ids that need escaping (quotes, backslashes, control and non-ASCII characters) next to plain ones.
-IDS = st.text(st.sampled_from('ab"\\\x00\x1f\n\té☃😀') | st.characters(), min_size=1, max_size=3)
+# Ids that need escaping (quotes, backslashes, control and non-ASCII characters, and the ``%`` of
+# the writer's matrix templates) next to plain ones.
+IDS = st.text(st.sampled_from('ab"\\\x00\x1f\n\té☃😀%') | st.characters(), min_size=1, max_size=3)
 TRUST = st.integers(-(10**30), 10**30)
 
 
@@ -295,12 +296,32 @@ def _edge_trace(**step_fields) -> Trace:
     return Trace((step,), MmaState(empty, empty, frozenset(), {}, {}, {}, {}, {}))
 
 
+def _matrix_trace(agents, *trusts, final=None) -> Trace:
+    """Steps whose trust matrices are ``trusts`` in turn, verdicts keyed like them, over ``agents``."""
+    empty = ArgumentationFrame(frozenset(), frozenset())
+    pairs = [(v, s) for v in agents for s in agents]
+    verdicts = [{p: list(Verdict)[(i + k) % 3] for k, p in enumerate(pairs) if p[0] != p[1]} for i in range(len(trusts))]
+    steps = tuple(
+        TraceStep(i + 1, tuple(agents), empty, (), (), (), (), verdicts[i], before, after)
+        for i, (before, after) in enumerate(zip((trusts[0],) + trusts, trusts))
+    )
+    final_trust = trusts[-1] if final is None else final
+    return Trace(steps, MmaState(empty, empty, frozenset(), {}, {}, {}, {}, final_trust))
+
+
+def _trust(agents, base):
+    return {(v, s): base + 10 * i + j for i, v in enumerate(agents) for j, s in enumerate(agents)}
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(traces())
 @example(Trace((), _edge_trace().final))
 @example(Trace((), _edge_trace().final, 3, ("(no leak) \"x\"", "")))
 @example(_edge_trace(trust_adjusted={}))
 @example(_edge_trace(trust_adjusted={"e1": frozenset({frozenset()}), "\u00e9\\": frozenset()}))
+@example(_matrix_trace(["%s", "e1"], _trust(["%s", "e1"], 0), _trust(["%s", "e1"], 5)))
+@example(_matrix_trace(["%%", "%"], _trust(["%%", "%"], -3)))
+@example(_matrix_trace(["%(a)s", "a"], _trust(["%(a)s", "a"], 7), final={("%(a)s", "a"): 1}))
 def test_dumps_trace_writes_what_json_dumps_writes(trace):
     assert dumps_trace(trace) == reference_dumps_trace(trace)
 
@@ -310,3 +331,29 @@ def test_dumps_trace_writes_what_json_dumps_writes(trace):
 def test_fixture_traces_are_what_json_dumps_writes(name, with_semantics):
     trace = run(_golden_scenario(name), with_semantics=with_semantics)
     assert dumps_trace(trace) == reference_dumps_trace(trace)
+
+
+def test_matrices_sharing_a_shape_keep_their_own_values():
+    agents = ["e1", "e2", "e3"]
+    first, second, third = _trust(agents, 0), _trust(agents, 100), _trust(agents, -50)
+    # Two steps whose matrices share one key set at one indent, and a final
+    # trust matrix with that key set at a shallower indent.
+    trace = _matrix_trace(agents, first, second, final=third)
+    text = dumps_trace(trace)
+    assert text == reference_dumps_trace(trace)
+    doc = json.loads(text)
+    assert [step["trust_after"]["e2"]["e3"] for step in doc["steps"]] == [12, 112]
+    assert doc["steps"][1]["trust_before"] == doc["steps"][0]["trust_after"]
+    assert doc["final"]["trust"]["e3"]["e1"] == -30
+    assert doc["steps"][0]["verdicts"] != doc["steps"][1]["verdicts"]
+
+
+def test_consecutive_traces_are_written_independently(mafia, mafia_dprime):
+    # The same agents and key sets in both traces, different values: nothing
+    # laid out for the first trace may leak into the second.
+    traces = [run(mafia, with_semantics=True), run(mafia_dprime, with_semantics=True)]
+    traces.append(_matrix_trace(["e1", "e2", "e3"], _trust(["e1", "e2", "e3"], 3)))
+    texts = [dumps_trace(trace) for trace in traces]
+    assert len(set(texts)) == len(texts)
+    for trace, text in zip(traces, texts):
+        assert text == reference_dumps_trace(trace)
