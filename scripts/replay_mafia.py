@@ -22,9 +22,9 @@ def main(argv: list[str]) -> int:
     print(f"agents: {sorted(sc.initial.agents)}   policy: +{sc.policy.delta_honest}/-{sc.policy.delta_dishonest}")
     trace = run(sc, with_semantics=with_semantics)
     for step in trace.steps:
-        who = ",".join(step.announcers)
-        args = " ".join(step.payload.sorted_args())
-        atts = " ".join(f"{s}->{t}" for s, t in step.payload.sorted_attacks())
+        who = ",".join(sorted(step.event.announcers))
+        args = " ".join(sorted(step.event.args))
+        atts = " ".join(f"{s}->{t}" for s, t in sorted(step.event.attacks))
         print(f"\nstep {step.index}: {who} announces [{args}] {atts}")
         flagged = {pair: v.value for pair, v in sorted(step.verdicts.items()) if v.value != "undetermined"}
         print(f"  verdicts: {flagged if flagged else 'all undetermined'}")

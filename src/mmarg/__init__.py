@@ -7,10 +7,8 @@ plus a scenario file format and CLI to replay games deterministically.
 """
 
 from .frames import (
-    DUNG,
     EMPTY_FRAME,
     INTERSECTION,
-    PRE_DUNG,
     UNION,
     ArgumentationFrame,
     combine,

@@ -108,7 +108,7 @@ def cmd_run(ns) -> int:
 def cmd_query(ns) -> int:
     sc = _load(ns.file)
     m = state_at(sc, ns.at)
-    kind = SemanticsKind(ns.kind) if ns.kind else None
+    kind = SemanticsKind(ns.semantics) if ns.semantics else None
     exts = query(m, ns.viewer, ns.subject, ns.view, kind)
     json.dump(sorted_extensions(exts), sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--viewer", required=True)
     p.add_argument("--subject")
     p.add_argument("--view", required=True, choices=list(dict.fromkeys(name for name, n in VIEWS if n)))
-    p.add_argument("--kind", choices=[k.value for k in SemanticsKind], help="override the scenario's semantics kind")
+    p.add_argument("--kind", dest="semantics", choices=[k.value for k in SemanticsKind],
+                   help="override the scenario's semantics kind")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("export", help="export a view as a DOT graph")

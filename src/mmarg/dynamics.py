@@ -1,10 +1,11 @@
 """Announcement dynamics: expansion, deception/honesty detection, trust revision.
 
-A public announcement is a partial frame merged into the global, public and
-per-agent awareness frames.  After each announcement every ordered pair of
-distinct agents runs detection: the viewer compares what the subject claims
-publicly against what the viewer models the subject to actually conclude,
-both restricted to the announced arguments from the subject's scope.
+A public announcement, an :class:`AnnouncementEvent`, adds its arguments and
+attacks to the global, public and per-agent awareness frames.  After each
+announcement every ordered pair of distinct agents runs detection: the
+viewer compares what the subject claims publicly against what the viewer
+models the subject to actually conclude, both restricted to the announced
+arguments from the subject's scope.
 Disjoint restrictions certify deception; exact agreement on arguments the
 viewer knows factual certifies honesty; anything else stays undetermined.
 Detected verdicts move the trust matrix by a policy's step sizes.
@@ -24,7 +25,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from .frames import UNION, ArgumentationFrame, combine, restrict
+from .frames import Attack, ArgumentationFrame, _check_ids, restrict
 from .semantics import ExtensionSet, SemanticsKind, semantics
 from .state import MmaState, Pair, Violation, _is_int, adjusted_perceived, public_model
 
@@ -39,18 +40,28 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class AnnouncementEvent:
-    """A partial frame someone announces; announcers are reporting metadata."""
+    """Arguments and attacks someone announces; announcers are reporting metadata.
 
-    payload: ArgumentationFrame
+    Every attack touches at least one announced argument; its other endpoint
+    may be an argument already on the public record.
+    """
+
+    args: frozenset[str]
+    attacks: frozenset[Attack]
     announcers: frozenset[str]
 
     def __post_init__(self) -> None:
+        args = self.args
+        _check_ids(args)
+        for s, t in self.attacks:
+            if s not in args and t not in args:
+                raise ValueError(f"attack ({s},{t}) touches no argument of the frame")
         if not self.announcers:
             raise ValueError("an announcement needs at least one announcer")
 
     @classmethod
-    def of(cls, payload: ArgumentationFrame, announcers: Iterable[str]) -> AnnouncementEvent:
-        return cls(payload, frozenset(announcers))
+    def of(cls, args: Iterable[str], attacks: Iterable[Attack], announcers: Iterable[str]) -> AnnouncementEvent:
+        return cls(frozenset(args), frozenset((s, t) for s, t in attacks), frozenset(announcers))
 
 
 @dataclass(frozen=True)
@@ -78,29 +89,28 @@ class AnnouncementError(ValueError):
 def check_announcement(m: MmaState, ev: AnnouncementEvent) -> list[Violation]:
     """Definedness of an announcement against the current snapshot.
 
-    No leak: once merged with the public record the payload is a closed
+    No leak: once merged with the public record the event is a closed
     frame, so no attack mentions an argument nobody has put on the table.
     No repetition: no announced attack already stands publicly, and the
-    payload is not wholly contained in the public record (it must add
-    something, otherwise the update would be the identity).  Payload
+    event is not wholly contained in the public record (it must add
+    something, otherwise the update would be the identity).  Announced
     arguments must be declared in the global frame: announcements may
     fabricate attacks, not arguments.
     """
     out: list[Violation] = []
-    payload = ev.payload
     unknown_announcers = ev.announcers - m.agents
     if unknown_announcers:
         out.append(Violation("structure", f"unknown announcers {sorted(unknown_announcers)}"))
-    undeclared = payload.args - m.global_af.args
+    undeclared = ev.args - m.global_af.args
     if undeclared:
         out.append(Violation("structure", f"payload arguments not declared globally: {sorted(undeclared)}"))
-    on_table = payload.args | m.public_af.args
-    for s, t in sorted(payload.attacks):
+    on_table = ev.args | m.public_af.args
+    for s, t in sorted(ev.attacks):
         if s not in on_table or t not in on_table:
             out.append(Violation("no leak", f"attack ({s},{t}) mentions an argument never announced"))
-    for s, t in sorted(payload.attacks & m.public_af.attacks):
+    for s, t in sorted(ev.attacks & m.public_af.attacks):
         out.append(Violation("no repetition", f"attack ({s},{t}) already stands publicly"))
-    if m.public_af.contains(payload):
+    if m.public_af.contains(ev):
         out.append(Violation("no repetition", "payload adds nothing to the public record"))
     return out
 
@@ -108,8 +118,11 @@ def check_announcement(m: MmaState, ev: AnnouncementEvent) -> list[Violation]:
 def announce(m: MmaState, ev: AnnouncementEvent) -> tuple[MmaState, AnnouncementEvent, MmaState]:
     """Merge a valid announcement into a snapshot, returning (before, event, after).
 
-    Global, public, every awareness frame and every override take the
-    payload's union.  Each scope follows the new global frame: it keeps its
+    Global, public, every awareness frame and every override grow by the
+    event's arguments and attacks (a frame that holds them all is kept).
+    Each contains the public record, so after the no-leak check each grown
+    frame is closed; a hand-built state that breaks this nesting raises
+    ``ValueError``.  Each scope follows the new global frame: it keeps its
     arguments and holds every global attack among them, so an attack
     fabricated between two arguments of one scope lands there too.  A scope
     is rebuilt only when such a newly global attack lands inside it; every
@@ -119,21 +132,25 @@ def announce(m: MmaState, ev: AnnouncementEvent) -> tuple[MmaState, Announcement
     violations = check_announcement(m, ev)
     if violations:
         raise AnnouncementError(violations)
-    payload = ev.payload
-    global_af = combine(m.global_af, payload, UNION)
+    global_af = _grow(m.global_af, ev)
     fresh = global_af.attacks - m.global_af.attacks
     m2 = replace(
         m,
         global_af=global_af,
-        public_af=combine(m.public_af, payload, UNION),
+        public_af=_grow(m.public_af, ev),
         scope={
             e: restrict(global_af, f.args) if any(s in f.args and t in f.args for s, t in fresh) else f
             for e, f in m.scope.items()
         },
-        aware={e: combine(f, payload, UNION) for e, f in m.aware.items()},
-        overrides={pair: combine(f, payload, UNION) for pair, f in m.overrides.items()},
+        aware={e: _grow(f, ev) for e, f in m.aware.items()},
+        overrides={pair: _grow(f, ev) for pair, f in m.overrides.items()},
     )
     return m, ev, m2
+
+
+def _grow(f: ArgumentationFrame, ev: AnnouncementEvent) -> ArgumentationFrame:
+    """``f`` with the event's arguments and attacks added; ``f`` itself when it holds them all."""
+    return f if f.contains(ev) else ArgumentationFrame(f.args | ev.args, f.attacks | ev.attacks)
 
 
 def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet:
@@ -142,9 +159,9 @@ def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet
     return frozenset(ext & keep for ext in exts)
 
 
-def _verdict(m2: MmaState, viewer: str, subject: str, payload: ArgumentationFrame, solve: Solve) -> Verdict:
+def _verdict(m2: MmaState, viewer: str, subject: str, ev: AnnouncementEvent, solve: Solve) -> Verdict:
     """Compare the trust-neutral public and local semantics, both solved through ``solve``."""
-    checked = payload.args & m2.scope[subject].args
+    checked = ev.args & m2.scope[subject].args
     if not checked:
         # Nothing of the subject's own scope was announced: no evidence.
         return Verdict.UNDETERMINED
@@ -168,7 +185,7 @@ def detect(m: MmaState, viewer: str, subject: str, ev: AnnouncementEvent) -> Ver
     if viewer not in m.agents or subject not in m.agents:
         raise ValueError(f"unknown agent pair ({viewer},{subject})")
     _, _, m2 = announce(m, ev)
-    return _verdict(m2, viewer, subject, ev.payload, functools.cache(semantics))
+    return _verdict(m2, viewer, subject, ev, functools.cache(semantics))
 
 
 def step(
@@ -179,7 +196,7 @@ def step(
     The event is checked and merged once; every ordered pair of distinct
     agents is judged on the announced state; each verdict then shifts its
     pair's trust by the policy.  Revision moves trust and nothing else.
-    Only subjects whose scope the payload meets are judged: every verdict
+    Only subjects whose scope the event meets are judged: every verdict
     on any other subject is undetermined without building a frame.  Each
     distinct (kind, frame) the verdicts need is solved once, through a
     memo made for this call.  Raises :class:`AnnouncementError` for an
@@ -194,9 +211,9 @@ def _step(
     """:func:`step` with every verdict solved through ``solve``, a memo the caller owns."""
     _, _, m2 = announce(m, ev)
     order = sorted(m.agents)
-    touched = {s for s in order if not ev.payload.args.isdisjoint(m2.scope[s].args)}
+    touched = {s for s in order if not ev.args.isdisjoint(m2.scope[s].args)}
     verdicts = {
-        (v, s): _verdict(m2, v, s, ev.payload, solve) if s in touched else Verdict.UNDETERMINED
+        (v, s): _verdict(m2, v, s, ev, solve) if s in touched else Verdict.UNDETERMINED
         for v in order
         for s in order
         if v != s

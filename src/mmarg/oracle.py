@@ -4,7 +4,8 @@ Everything here works by enumerating all subsets of the argument set and
 testing the defining clauses literally (conflict-freeness, defense of all
 members, containment of everything defended).  It is intentionally naive
 and shares no enumeration code with :mod:`mmarg.semantics`; disagreement
-between the two on any frame is a bug in one of them.
+between the two on any frame is a bug in one of them.  Every frame is
+closed, so any frame of at most :data:`MAX_ORACLE_ARGS` arguments is input.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .frames import DUNG, ArgumentationFrame
+from .frames import ArgumentationFrame
 from .semantics import ExtensionSet, SemanticsKind
 
 MAX_ORACLE_ARGS = 20
@@ -45,8 +46,6 @@ def _complete_subsets(f: ArgumentationFrame) -> list[frozenset[str]]:
 
 def oracle_semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
     """Definition-literal semantics over all ``2**|args|`` candidate sets."""
-    if f.kind != DUNG:
-        raise ValueError("oracle semantics are defined on closed frames only")
     if len(f.args) > MAX_ORACLE_ARGS:
         raise ValueError(f"frame too large for the brute-force oracle (> {MAX_ORACLE_ARGS} args)")
     kind = SemanticsKind(kind)
@@ -65,4 +64,4 @@ def random_frame(rng: random.Random, n_args: int, density: float) -> Argumentati
     """A frame over ``a1..aN`` where each ordered pair attacks with prob ``density``."""
     args = [f"a{i}" for i in range(1, n_args + 1)]
     attacks = {(x, y) for x in args for y in args if rng.random() < density}
-    return ArgumentationFrame(frozenset(args), frozenset(attacks), DUNG)
+    return ArgumentationFrame(frozenset(args), frozenset(attacks))

@@ -45,7 +45,6 @@ class IntraPreference:
 class InterPreference:
     """Trust-derived order for one observer, kept as its strict pairs only."""
 
-    owner: str
     strict: frozenset[Attack]
 
     def strictly_less(self, a: str, b: str) -> bool:
@@ -63,7 +62,7 @@ def adjust(f: ArgumentationFrame, order: IntraPreference | InterPreference) -> A
     if not flipped:
         return f
     attacks = f.attacks.difference(flipped).union([(t, s) for s, t in flipped])
-    return ArgumentationFrame(f.args, attacks, f.kind)
+    return ArgumentationFrame(f.args, attacks)
 
 
 def derive_inter(m: "MmaState", e: str) -> InterPreference:
@@ -97,4 +96,4 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
             continue
         if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
             strict.add((a1, a2))
-    return InterPreference(e, frozenset(strict))
+    return InterPreference(frozenset(strict))

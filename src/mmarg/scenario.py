@@ -19,10 +19,10 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
-from typing import Any, IO, Mapping
+from typing import Any, Callable, IO, Mapping
 
 from .dynamics import AnnouncementError, AnnouncementEvent, TrustPolicy, Verdict, _step, update
-from .frames import DUNG, PRE_DUNG, ArgumentationFrame
+from .frames import ArgumentationFrame
 from .preferences import IntraPreference
 from .semantics import ExtensionSet, SemanticsKind, semantics, sorted_extensions
 from .state import (
@@ -71,8 +71,7 @@ class Scenario:
 @dataclass(frozen=True)
 class TraceStep:
     index: int
-    announcers: tuple[str, ...]
-    payload: ArgumentationFrame
+    event: AnnouncementEvent
     public_added_args: tuple[str, ...]
     public_added_attacks: tuple[tuple[str, str], ...]
     global_added_args: tuple[str, ...]
@@ -107,13 +106,14 @@ def _as_attacks(raw: Any, where: str) -> frozenset[tuple[str, str]]:
     return frozenset(out)
 
 
-def _as_frame(raw: Any, where: str, kind: str = DUNG) -> ArgumentationFrame:
+def _as_frame(raw: Any, where: str, make: Callable[..., Any] = ArgumentationFrame) -> Any:
+    """``make(args, attacks)`` from an object with args/attacks; its ``ValueError`` becomes a parse error."""
     _expect(isinstance(raw, dict), f"{where} must be an object with args/attacks")
     args = raw.get("args", [])
     _expect(isinstance(args, list) and all(isinstance(a, str) for a in args), f"{where}: args must be a list of ids")
     attacks = _as_attacks(raw.get("attacks", []), where)
     try:
-        return ArgumentationFrame(frozenset(args), attacks, kind)
+        return make(frozenset(args), attacks)
     except ValueError as exc:
         raise ScenarioParseError(f"{where}: {exc}") from exc
 
@@ -177,13 +177,13 @@ def parse_scenario(doc: Any) -> Scenario:
     global_attacks = _as_attacks(doc["global_attacks"], "global_attacks")
     for s, t in sorted(global_attacks):
         _expect(s in arg_ids and t in arg_ids, f"global attack ({s},{t}) uses an undeclared argument")
-    global_af = ArgumentationFrame(arg_ids, global_attacks, DUNG)
+    global_af = ArgumentationFrame(arg_ids, global_attacks)
 
     scope = {}
     for e in agents:
         fe_args = frozenset(scopes_raw[e])
         fe_attacks = frozenset((s, t) for s, t in global_attacks if s in fe_args and t in fe_args)
-        scope[e] = ArgumentationFrame(fe_args, fe_attacks, DUNG)
+        scope[e] = ArgumentationFrame(fe_args, fe_attacks)
 
     aware_raw = doc["awareness"]
     _expect(isinstance(aware_raw, dict) and set(aware_raw) == set(agents), "awareness must cover exactly the agents")
@@ -250,9 +250,8 @@ def parse_scenario(doc: Any) -> Scenario:
         _expect(isinstance(announcers, list) and announcers and all(isinstance(a, str) for a in announcers),
                 f"script step {i}: announcers must be a nonempty list")
         _expect(set(announcers) <= set(agents), f"script step {i}: unknown announcer")
-        payload = _as_frame({"args": raw.get("args", []), "attacks": raw.get("attacks", [])},
-                            f"script step {i}", kind=PRE_DUNG)
-        script.append(AnnouncementEvent.of(payload, announcers))
+        script.append(_as_frame({"args": raw.get("args", []), "attacks": raw.get("attacks", [])}, f"script step {i}",
+                                functools.partial(AnnouncementEvent, announcers=frozenset(announcers))))
 
     policy_raw = doc.get("policy", {})
     _expect(isinstance(policy_raw, dict), "policy must be an object")
@@ -294,8 +293,8 @@ def bundled_scenarios() -> list[str]:
 # ---------------------------------------------------------------------------
 # Serialization back to the document form.
 
-def _frame_doc(f: ArgumentationFrame) -> dict:
-    return {"args": f.sorted_args(), "attacks": [list(p) for p in f.sorted_attacks()]}
+def _frame_doc(f: ArgumentationFrame | AnnouncementEvent) -> dict:
+    return {"args": sorted(f.args), "attacks": [list(p) for p in sorted(f.attacks)]}
 
 
 def _pair_matrix_doc(values: Mapping[Pair, Any], conv=lambda x: x) -> dict:
@@ -319,14 +318,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "factual": _pair_matrix_doc(m.intra, lambda p: sorted(p.factual)),
         "trust": _pair_matrix_doc(m.trust),
         "omega_overrides": {},
-        "script": [
-            {
-                "announcers": sorted(ev.announcers),
-                "args": ev.payload.sorted_args(),
-                "attacks": [list(p) for p in ev.payload.sorted_attacks()],
-            }
-            for ev in sc.script
-        ],
+        "script": [{"announcers": sorted(ev.announcers), **_frame_doc(ev)} for ev in sc.script],
         "policy": {"honest": sc.policy.delta_honest, "dishonest": sc.policy.delta_dishonest},
     }
     for (v, s), f in sorted(sc.initial.overrides.items()):
@@ -365,8 +357,7 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
         steps.append(
             TraceStep(
                 index=k,
-                announcers=tuple(sorted(ev.announcers)),
-                payload=ev.payload,
+                event=ev,
                 public_added_args=tuple(sorted(m2.public_af.args - m.public_af.args)),
                 public_added_attacks=tuple(sorted(m2.public_af.attacks - m.public_af.attacks)),
                 global_added_args=tuple(sorted(m2.global_af.args - m.global_af.args)),
@@ -461,10 +452,10 @@ class _TraceWriter(dict):
     def step(self, st: TraceStep, nl: str) -> str:
         i = nl + "  "
         fields = [
-            '"announcers": ' + self.strs(st.announcers, i),
+            '"announcers": ' + self.strs(sorted(st.event.announcers), i),
             '"global_added": ' + self.frame(st.global_added_args, st.global_added_attacks, i),
             f'"index": {st.index!r}',
-            '"payload": ' + self.frame(st.payload.sorted_args(), st.payload.sorted_attacks(), i),
+            '"payload": ' + self.frame(sorted(st.event.args), sorted(st.event.attacks), i),
             '"public_added": ' + self.frame(st.public_added_args, st.public_added_attacks, i),
         ]
         if st.trust_adjusted is not None:

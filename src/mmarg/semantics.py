@@ -1,4 +1,4 @@
-"""Exact acceptability semantics for closed argumentation frames.
+"""Exact acceptability semantics for argumentation frames, all of them closed.
 
 The grounded extension is the least fixpoint of the defense operator.
 Complete extensions are enumerated through a three-valued labelling search
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable
 
-from .frames import DUNG, ArgumentationFrame
+from .frames import ArgumentationFrame
 
 # A semantics value: a set of extensions, each a set of argument ids.
 ExtensionSet = frozenset[frozenset[str]]
@@ -35,11 +35,6 @@ CREDULOUS = "credulous"
 SKEPTICAL = "skeptical"
 
 
-def _require_dung(f: ArgumentationFrame) -> None:
-    if f.kind != DUNG:
-        raise ValueError("semantics are defined on closed (dung) frames only")
-
-
 def _require_members(s: Iterable[str], f: ArgumentationFrame) -> frozenset[str]:
     s = frozenset(s)
     unknown = s - f.args
@@ -50,14 +45,12 @@ def _require_members(s: Iterable[str], f: ArgumentationFrame) -> frozenset[str]:
 
 def is_conflict_free(s: Iterable[str], f: ArgumentationFrame) -> bool:
     """No member of ``s`` attacks a member of ``s`` (self-attacks count)."""
-    _require_dung(f)
     s = _require_members(s, f)
     return not any(a in s and b in s for a, b in f.attacks)
 
 
 def defends(s: Iterable[str], a: str, f: ArgumentationFrame) -> bool:
     """Every attacker of ``a`` is counter-attacked by some member of ``s``."""
-    _require_dung(f)
     s = _require_members(s, f)
     (a,) = _require_members([a], f)
     for x, y in f.attacks:
@@ -171,14 +164,12 @@ def _attacked_by(in_m: int, targets: list[int]) -> int:
 
 def complete_sets(f: ArgumentationFrame) -> ExtensionSet:
     """All complete extensions of ``f``."""
-    _require_dung(f)
     order, attackers, targets = _index(f)
     return _masks_to_extensions(_complete_masks(len(order), attackers, targets), order)
 
 
 def preferred_sets(f: ArgumentationFrame) -> ExtensionSet:
     """All maximal complete extensions of ``f``."""
-    _require_dung(f)
     order, attackers, targets = _index(f)
     masks = _complete_masks(len(order), attackers, targets)
     maximal = [m for m in masks if not any(m != m2 and m | m2 == m2 for m2 in masks)]
@@ -187,7 +178,6 @@ def preferred_sets(f: ArgumentationFrame) -> ExtensionSet:
 
 def grounded_set(f: ArgumentationFrame) -> ExtensionSet:
     """The unique grounded extension of ``f``, wrapped as a one-member set."""
-    _require_dung(f)
     order, attackers, targets = _index(f)
     m = _grounded_mask(len(order), attackers, targets)
     return _masks_to_extensions([m], order)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .frames import DUNG, INTERSECTION, UNION, ArgumentationFrame, combine
+from .frames import INTERSECTION, UNION, ArgumentationFrame, combine
 from .preferences import IntraPreference, adjust, derive_inter
 from .semantics import ExtensionSet, SemanticsKind, semantics
 
@@ -83,8 +83,6 @@ def validate(m: MmaState) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    if m.global_af.kind != DUNG:
-        out.append(Violation("structure", "global frame must be closed"))
     if not m.global_af.contains(m.public_af):
         out.append(Violation("structure", "public frame is not a sub-frame of the global frame"))
 

@@ -18,7 +18,6 @@ from mmarg import (
     load_scenario,
     validate,
 )
-from mmarg.frames import DUNG, PRE_DUNG
 
 
 def load_bundled(name: str) -> Scenario:
@@ -64,19 +63,19 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
 
     g_pairs = [(x, y) for x in all_args for y in all_args if rng.random() < density]
     g_attacks = frozenset(g_pairs)
-    global_af = ArgumentationFrame(frozenset(all_args), g_attacks, DUNG)
+    global_af = ArgumentationFrame(frozenset(all_args), g_attacks)
 
     scope = {}
     for e in agents:
         fe_args = frozenset(scope_args[e])
         fe_attacks = frozenset(p for p in g_attacks if p[0] in fe_args and p[1] in fe_args)
-        scope[e] = ArgumentationFrame(fe_args, fe_attacks, DUNG)
+        scope[e] = ArgumentationFrame(fe_args, fe_attacks)
 
     pub_args = frozenset(a for a in all_args if rng.random() < 0.4)
     pub_attacks = frozenset(
         p for p in g_pairs if p[0] in pub_args and p[1] in pub_args and rng.random() < 0.6
     )
-    public_af = ArgumentationFrame(pub_args, pub_attacks, DUNG)
+    public_af = ArgumentationFrame(pub_args, pub_attacks)
 
     aware = {}
     for e in agents:
@@ -86,7 +85,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
             | pub_attacks
             | frozenset(p for p in g_pairs if p[0] in fa_args and p[1] in fa_args and rng.random() < 0.5)
         )
-        aware[e] = ArgumentationFrame(fa_args, fa_attacks, DUNG)
+        aware[e] = ArgumentationFrame(fa_args, fa_attacks)
 
     sem_model = {
         (v, s): rng.choice(list(SemanticsKind)) for v in agents for s in agents
@@ -150,10 +149,7 @@ def random_announcement(
             if x in payload_args or y in payload_args
         ]
         attacks = frozenset(p for p in candidates if rng.random() < 0.2) - m.public_af.attacks
-        ev = AnnouncementEvent.of(
-            ArgumentationFrame(payload_args, attacks, PRE_DUNG),
-            [rng.choice(sorted(m.agents))],
-        )
+        ev = AnnouncementEvent(payload_args, attacks, frozenset([rng.choice(sorted(m.agents))]))
         if not check_announcement(m, ev):
             return ev
     return None

@@ -9,7 +9,7 @@ import random
 import time
 
 from mmarg.cli import EX_OK, main
-from mmarg.dynamics import Verdict, announce, check_announcement, detect, restrict_extensions, update
+from mmarg.dynamics import AnnouncementEvent, Verdict, announce, check_announcement, detect, restrict_extensions, update
 from mmarg.frames import ArgumentationFrame
 from mmarg.oracle import oracle_semantics
 from mmarg.scenario import fixture_path, run, state_at
@@ -58,7 +58,7 @@ def test_criterion_2_detection_verdicts(mafia, mafia_dprime):
     step3 = mafia.script[2]
     assert detect(m_c, "e2", "e1", step3) is Verdict.DISHONEST
     _, _, m_d = announce(m_c, step3)
-    checked = step3.payload.args & m_d.scope["e1"].args
+    checked = step3.args & m_d.scope["e1"].args
     assert checked == {"a2", "a3"}
     src = restrict_extensions(trust_neutral_public_semantics(m_d, "e2", "e1"), checked)
     tgt = restrict_extensions(trust_neutral_local_semantics(m_d, "e2", "e1"), checked)
@@ -67,7 +67,7 @@ def test_criterion_2_detection_verdicts(mafia, mafia_dprime):
 
     m_c2 = state_at(mafia_dprime, 2)
     honest_step = mafia_dprime.script[2]
-    assert honest_step.payload.args == {"a1"}
+    assert honest_step.args == {"a1"}
     assert detect(m_c2, "e2", "e1", honest_step) is Verdict.HONEST
     assert detect(m_c2, "e3", "e1", honest_step) is Verdict.UNDETERMINED
     _report(2, "dishonesty at the bluff, honesty at the confession, undetermined for the uninformed")
@@ -103,7 +103,7 @@ def test_criterion_3_preference_adjustment(mafia):
 def test_criterion_4_announcement_validity(mafia):
     m_d = state_at(mafia, 3)
     step4 = mafia.script[3]
-    assert step4.payload == ArgumentationFrame.of(["a5"], [("a5", "a2"), ("a5", "a3")], "pre-dung")
+    assert step4 == AnnouncementEvent.of(["a5"], [("a5", "a2"), ("a5", "a3")], ["e2"])
     assert check_announcement(m_d, step4) == []
     _, _, m_e = announce(m_d, step4)
     assert m_e.public_af == ArgumentationFrame.of(
@@ -231,7 +231,7 @@ def _independent_trust_deltas(sc):
 
     per_step = []
     for event in sc.script:
-        p_args, p_atts = set(event.payload.args), set(event.payload.attacks)
+        p_args, p_atts = set(event.args), set(event.attacks)
         pub2_args, pub2_atts = close(pub_args | p_args, pub_atts | p_atts)
         fa2 = {e: close(fa_args[e] | p_args, fa_atts[e] | p_atts) for e in agents}
         deltas = {}

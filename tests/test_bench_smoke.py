@@ -1,6 +1,6 @@
-"""One untimed pass of the benchmark's cli-session and synth-replay workloads,
-checked against their committed oracle references: a change under ``src/``
-that breaks a benchmark output or the solver rebinding fails here."""
+"""One untimed pass of each benchmark workload (cli-session, synth-replay,
+solve-dense), checked against its committed oracle references: a change under
+``src/`` that breaks a benchmark output or the solver rebinding fails here."""
 
 import json
 import subprocess
@@ -29,3 +29,9 @@ def test_cli_session_pass_matches_the_references():
 def test_synth_replay_pass_matches_the_references():
     # Every game's trace bytes are compared with the committed reference.
     assert _one_pass("synth-replay")["attempted"] == 120
+
+
+def test_solve_dense_pass_matches_the_references():
+    # 1000 frames of 13 arguments, each solved for every semantics kind:
+    # larger frames than the oracle cross-check of the acceptance tests draws.
+    assert _one_pass("solve-dense")["attempted"] == 3000

@@ -52,6 +52,13 @@ MALFORMED = {
     "list scope id": lambda doc: doc["scopes"]["e1"].append([1]),
     "script not a list": lambda doc: doc.update(script={}),
     "fractional policy step": lambda doc: doc.update(policy={"honest": 1.5}),
+    "script attack touching none of its args": lambda doc: doc["script"][1].update(attacks=[["y", "z"]]),
+    "empty script argument id": lambda doc: doc["script"][1]["args"].append(""),
+}
+# The whole stderr of the cases whose message is pinned.
+MALFORMED_STDERR = {
+    "script attack touching none of its args": "parse error: script step 2: attack (y,z) touches no argument of the frame\n",
+    "empty script argument id": "parse error: script step 2: argument ids must be nonempty strings, got ''\n",
 }
 
 
@@ -64,6 +71,7 @@ def test_malformed_document_is_a_parse_error(case, tmp_path, capsys):
     assert main(["validate", write_doc(tmp_path, doc)]) == EX_PARSE
     err = capsys.readouterr().err
     assert "parse error" in err and "Traceback" not in err
+    assert err == MALFORMED_STDERR.get(case, err)
 
 
 def _write_bytes(tmp_path, data: bytes) -> str:

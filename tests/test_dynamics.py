@@ -16,17 +16,17 @@ from mmarg.dynamics import (
     step,
     update,
 )
-from mmarg.frames import PRE_DUNG, ArgumentationFrame, restrict
+from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.preferences import IntraPreference
 from mmarg.scenario import bundled_scenarios, run, state_at
 from mmarg.semantics import SemanticsKind
-from mmarg.state import MmaState, adjusted_perceived, public_model, trust_adjusted_public_model, validate
+from mmarg.state import MmaState, adjusted_perceived, perceived, public_model, trust_adjusted_public_model, validate
 
 from conftest import load_bundled, random_announcement, random_state
 
 
 def ev(args, attacks=(), announcers=("e1",)):
-    return AnnouncementEvent.of(ArgumentationFrame.of(args, attacks, PRE_DUNG), announcers)
+    return AnnouncementEvent.of(args, attacks, announcers)
 
 
 def ext(*groups):
@@ -35,7 +35,7 @@ def ext(*groups):
 
 def test_event_requires_announcers():
     with pytest.raises(ValueError):
-        AnnouncementEvent.of(ArgumentationFrame.of(["a1"]), [])
+        AnnouncementEvent.of(["a1"], [], [])
 
 
 def test_policy_rejects_negative_deltas():
@@ -116,26 +116,53 @@ def test_fabricated_attack_inside_one_scope_joins_that_scope(mafia):
     assert validate(m2) == []
 
 
+def test_announce_into_a_state_breaking_the_nesting_raises(mafia):
+    # Awareness that misses a public argument cannot hold the event's attack
+    # on it; the grown frame is not cut down to fit, it is rejected.
+    m = state_at(mafia, 3)
+    m = replace(m, aware={**m.aware, "e3": restrict(m.aware["e3"], m.aware["e3"].args - {"a2"})})
+    with pytest.raises(ValueError, match=r"attack \(a5,a2\) dangles outside a closed frame") as info:
+        announce(m, mafia.script[3])
+    assert not isinstance(info.value, AnnouncementError)
+
+
+def _grown_by_plain_union(before, event, after):
+    """Global, public, every awareness frame and every override of ``after`` are those of ``before``
+    with the event's arguments and attacks added, nothing cut, and kept as is when they held them all."""
+    frames = [(before.global_af, after.global_af), (before.public_af, after.public_af)]
+    frames += [(f, after.aware[e]) for e, f in before.aware.items()]
+    frames += [(f, after.overrides[pair]) for pair, f in before.overrides.items()]
+    return all(
+        post == ArgumentationFrame(pre.args | event.args, pre.attacks | event.attacks)
+        and (post is pre) == pre.contains(event)
+        for pre, post in frames
+    )
+
+
 def test_accepted_announcements_leave_valid_states():
-    # Fixture scripts, then short chains of random events on random states:
-    # whatever check_announcement accepts (update raises otherwise),
-    # validate accepts afterwards.
+    # Fixture scripts, then short chains of random events on random states
+    # that pin every opponent model to its lower bound: whatever
+    # check_announcement accepts (update raises otherwise), validate accepts
+    # afterwards, and every frame the event grows is its plain union.
     for name in bundled_scenarios():
         sc = load_bundled(name)
         m = sc.initial
         for event in sc.script:
-            m = update(m, event, sc.policy)
+            m, m0 = update(m, event, sc.policy), m
             assert validate(m) == [], name
+            assert _grown_by_plain_union(m0, event, m), name
     rng = random.Random(1)
     accepted = 0
     for _ in range(200):
         m = random_state(rng)
+        m = replace(m, overrides={(v, s): perceived(m, v, s) for v in m.agents for s in m.agents if v != s})
         for _ in range(3):
             event = random_announcement(rng, m)
             if event is None:
                 break
-            m = update(m, event)
+            m, m0 = update(m, event), m
             assert validate(m) == []
+            assert _grown_by_plain_union(m0, event, m)
             accepted += 1
     assert accepted > 300
 
@@ -283,7 +310,7 @@ def test_scopes_untouched_by_announcements_avoiding_them():
         event = random_announcement(rng, m, avoid_scope=chosen)
         if event is None:
             continue
-        assert not event.payload.args & m.scope[chosen].args
+        assert not event.args & m.scope[chosen].args
         _, _, m2 = announce(m, event)
         assert m2.scope[chosen] == m.scope[chosen]
         done += 1
@@ -303,7 +330,7 @@ def test_honest_and_dishonest_conditions_are_mutually_exclusive():
             continue
         m2, matrix, _ = step(m, event, TrustPolicy())
         for (v, s), verdict in matrix.items():
-            checked = event.payload.args & m2.scope[s].args
+            checked = event.args & m2.scope[s].args
             if not checked:
                 assert verdict is Verdict.UNDETERMINED
                 continue
@@ -355,7 +382,7 @@ def _verdict_solves(m2, event):
     need = set()
     for v in m2.agents:
         for s in m2.agents:
-            if v != s and event.payload.args & m2.scope[s].args:
+            if v != s and event.args & m2.scope[s].args:
                 kind = m2.sem_model[(v, s)]
                 need |= {(kind, public_model(m2, v, s)), (kind, adjusted_perceived(m2, v, s))}
     return need
@@ -398,7 +425,7 @@ def test_step_judges_only_subjects_whose_scope_the_payload_meets(perceived_calls
         perceived_calls.clear()
         m2, verdicts, _ = step(m, event, policy)
         touched = {
-            (v, s) for v, s in verdicts if event.payload.args & m2.scope[s].args
+            (v, s) for v, s in verdicts if event.args & m2.scope[s].args
         }
         built = [(v, s) for _, v, s in perceived_calls]
         assert sorted(built) == sorted(touched)

@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mmarg.dynamics import AnnouncementEvent
 from mmarg.frames import (
-    DUNG,
     EMPTY_FRAME,
     INTERSECTION,
-    PRE_DUNG,
     UNION,
     ArgumentationFrame,
     combine,
@@ -13,8 +12,8 @@ from mmarg.frames import (
 )
 
 
-def f(args, attacks=(), kind=DUNG):
-    return ArgumentationFrame.of(args, attacks, kind)
+def f(args, attacks=()):
+    return ArgumentationFrame.of(args, attacks)
 
 
 def test_dung_frame_rejects_dangling_attack():
@@ -22,24 +21,19 @@ def test_dung_frame_rejects_dangling_attack():
         f(["a1"], [("a1", "a2")])
 
 
-def test_pre_dung_allows_one_dangling_endpoint():
-    frame = f(["a5"], [("a5", "a2")], kind=PRE_DUNG)
-    assert frame.attacks == {("a5", "a2")}
+def test_event_attack_may_dangle_on_one_endpoint():
+    event = AnnouncementEvent.of(["a5"], [("a5", "a2")], ["e2"])
+    assert event.attacks == {("a5", "a2")}
 
 
-def test_pre_dung_rejects_fully_dangling_attack():
+def test_event_rejects_attack_touching_none_of_its_arguments():
     with pytest.raises(ValueError):
-        f(["a5"], [("a1", "a2")], kind=PRE_DUNG)
+        AnnouncementEvent.of(["a5"], [("a1", "a2")], ["e2"])
 
 
 def test_empty_argument_id_rejected():
     with pytest.raises(ValueError):
         f([""])
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        f(["a1"], kind="other")
 
 
 def test_restrict_drops_cut_attacks():
@@ -49,20 +43,6 @@ def test_restrict_drops_cut_attacks():
 def test_restrict_with_full_argument_set_is_identity():
     frame = f(["a1", "a2"], [("a1", "a2")])
     assert restrict(frame, frame.args) == frame
-
-
-def test_union_keeps_attack_once_endpoint_appears():
-    payload = f(["a5"], [("a5", "a2")], kind=PRE_DUNG)
-    pub = f(["a2", "a3", "a4", "a5", "a9"], [("a4", "a9"), ("a3", "a4"), ("a3", "a5")])
-    merged = combine(payload, pub, UNION)
-    assert merged.kind == DUNG
-    assert ("a5", "a2") in merged.attacks
-
-
-def test_union_drops_attack_still_dangling():
-    payload = f(["a5"], [("a5", "a2")], kind=PRE_DUNG)
-    merged = combine(payload, EMPTY_FRAME, UNION)
-    assert merged == f(["a5"])
 
 
 def test_intersection_with_empty_is_empty():
@@ -104,10 +84,9 @@ def test_union_idempotent(frame):
     assert combine(frame, frame, INTERSECTION) == frame
 
 
-def reference_check(args, attacks, kind):
-    """The frame invariants read literally off the definition, one member at a time."""
-    if kind not in (DUNG, PRE_DUNG):
-        raise ValueError(kind)
+def reference_check(args, attacks, inside_needed=2):
+    """The frame invariants read literally off the definition, one member at a time;
+    an announcement's attacks need only one endpoint among its arguments."""
     for a in args:
         if not isinstance(a, str) or a == "":
             raise ValueError(a)
@@ -116,8 +95,15 @@ def reference_check(args, attacks, kind):
             raise ValueError(attack)
     for s, t in attacks:
         inside = (s in args) + (t in args)
-        if inside < (2 if kind == DUNG else 1):
+        if inside < inside_needed:
             raise ValueError((s, t))
+
+
+def reference_event_check(args, attacks, announcers):
+    """The announcement invariants: a frame's, one endpoint per attack, and some announcer."""
+    reference_check(args, attacks, inside_needed=1)
+    if not announcers:
+        raise ValueError(announcers)
 
 
 def _outcome(build, *inputs):
@@ -135,40 +121,58 @@ PAIRS = st.tuples(ENDS, ENDS)
 ATTACKS = st.one_of(PAIRS, PAIRS, PAIRS, st.tuples(ENDS), st.tuples(ENDS, ENDS, ENDS))
 
 
-@given(
-    st.frozensets(IDS, max_size=4),
-    st.frozensets(ATTACKS, max_size=4),
-    st.sampled_from([DUNG, PRE_DUNG, "other"]),
-)
+@given(st.frozensets(IDS, max_size=4), st.frozensets(ATTACKS, max_size=4))
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@example(frozenset({"a", 7}), frozenset(), DUNG)
-@example(frozenset({"a", ""}), frozenset(), DUNG)
-@example(frozenset({"a"}), frozenset({("z", "a")}), DUNG)
-@example(frozenset({"a"}), frozenset({("a", "z")}), DUNG)
-@example(frozenset({"a"}), frozenset({("y", "z")}), PRE_DUNG)
-@example(frozenset({"a"}), frozenset({("a", "z"), ("y", "z")}), PRE_DUNG)
-@example(frozenset({"a", "b", "c"}), frozenset({("a", "b", "c")}), DUNG)
-@example(frozenset({"a", "b", "c"}), frozenset({("a", "b", "c")}), PRE_DUNG)
-def test_frame_accepts_and_rejects_what_the_definition_does(args, attacks, kind):
-    got = _outcome(ArgumentationFrame, args, attacks, kind)
-    assert got == _outcome(reference_check, args, attacks, kind)
+@example(frozenset({"a", 7}), frozenset())
+@example(frozenset({"a", ""}), frozenset())
+@example(frozenset({"a"}), frozenset({("z", "a")}))
+@example(frozenset({"a"}), frozenset({("a", "z")}))
+@example(frozenset({"a", "b", "c"}), frozenset({("a", "b", "c")}))
+def test_frame_accepts_and_rejects_what_the_definition_does(args, attacks):
+    got = _outcome(ArgumentationFrame, args, attacks)
+    assert got == _outcome(reference_check, args, attacks)
     assert got in (None, ValueError)
 
 
+@given(st.frozensets(IDS, max_size=4), st.frozensets(ATTACKS, max_size=4), st.frozensets(st.sampled_from(["e1", "e2"])))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(frozenset({"a", 7}), frozenset(), frozenset({"e1"}))
+@example(frozenset({"a", ""}), frozenset(), frozenset({"e1"}))
+@example(frozenset({"a"}), frozenset({("a", "z")}), frozenset({"e1"}))
+@example(frozenset({"a"}), frozenset({("y", "z")}), frozenset({"e1"}))
+@example(frozenset({"a"}), frozenset({("a", "z"), ("y", "z")}), frozenset({"e1"}))
+@example(frozenset({"a", "b", "c"}), frozenset({("a", "b", "c")}), frozenset({"e1"}))
+@example(frozenset({"a"}), frozenset(), frozenset())
+def test_event_accepts_and_rejects_what_the_definition_does(args, attacks, announcers):
+    got = _outcome(AnnouncementEvent, args, attacks, announcers)
+    assert got == _outcome(reference_event_check, args, attacks, announcers)
+    assert got in (None, ValueError)
+
+
+# What each case builds: a Dung frame, or an announcement by one announcer or by none.
+BUILD = {
+    "dung": lambda args, attacks: ArgumentationFrame(frozenset(args), frozenset(attacks)),
+    "event": lambda args, attacks: AnnouncementEvent(frozenset(args), frozenset(attacks), frozenset({"e1"})),
+    "unannounced": lambda args, attacks: AnnouncementEvent(frozenset(args), frozenset(attacks), frozenset()),
+}
+
+
 @pytest.mark.parametrize(
-    "args, attacks, kind, message",
+    "args, attacks, built, message",
     [
-        ({"a", 7}, [], DUNG, "argument ids must be nonempty strings, got 7"),
-        ({"a", ""}, [], DUNG, "argument ids must be nonempty strings, got ''"),
-        ({"a"}, [("z", "a")], DUNG, "attack (z,a) dangles outside a closed frame"),
-        ({"a"}, [("a", "z")], DUNG, "attack (a,z) dangles outside a closed frame"),
-        ({"a"}, [("y", "z")], PRE_DUNG, "attack (y,z) touches no argument of the frame"),
-        ({"a"}, [], "other", "unknown frame kind: 'other'"),
+        ({"a", 7}, [], "dung", "argument ids must be nonempty strings, got 7"),
+        ({"a", ""}, [], "dung", "argument ids must be nonempty strings, got ''"),
+        ({"a"}, [("z", "a")], "dung", "attack (z,a) dangles outside a closed frame"),
+        ({"a"}, [("a", "z")], "dung", "attack (a,z) dangles outside a closed frame"),
+        ({"a"}, [("y", "z")], "event", "attack (y,z) touches no argument of the frame"),
+        ({"a", 7}, [], "event", "argument ids must be nonempty strings, got 7"),
+        ({"a", ""}, [], "event", "argument ids must be nonempty strings, got ''"),
+        ({"a"}, [("a", "z")], "unannounced", "an announcement needs at least one announcer"),
     ],
 )
-def test_frame_names_the_offender(args, attacks, kind, message):
+def test_frame_names_the_offender(args, attacks, built, message):
     with pytest.raises(ValueError) as info:
-        ArgumentationFrame(frozenset(args), frozenset(attacks), kind)
+        BUILD[built](args, attacks)
     assert str(info.value) == message
 
 
@@ -181,13 +185,11 @@ def reference_combine(f1, f2, op):
 
 @st.composite
 def any_frames(draw, pool=("b0", "b1", "b2", "b3", "b4")):
-    """Closed frames over part of ``pool``, or pre-dung frames whose attacks reach outside it."""
+    """Frames over part of ``pool``."""
     args = draw(st.frozensets(st.sampled_from(pool), max_size=len(pool)))
     pairs = st.tuples(st.sampled_from(pool), st.sampled_from(pool))
     attacks = draw(st.frozensets(pairs, max_size=10))
-    if draw(st.booleans()):
-        return ArgumentationFrame(args, frozenset((s, t) for s, t in attacks if s in args and t in args))
-    return ArgumentationFrame(args, frozenset(a for a in attacks if not args.isdisjoint(a)), PRE_DUNG)
+    return ArgumentationFrame(args, frozenset((s, t) for s, t in attacks if s in args and t in args))
 
 
 @given(any_frames(), any_frames(), st.sampled_from([UNION, INTERSECTION]))
@@ -196,30 +198,23 @@ def test_combine_is_the_cut_definition(f1, f2, op):
     assert combine(f1, f2, op) == reference_combine(f1, f2, op)
 
 
-def test_pre_dung_payload_is_cut_on_intersection():
-    payload = f(["a5"], [("a5", "a2")], kind=PRE_DUNG)
-    pub = f(["a2", "a5"], [("a5", "a2")])
-    assert combine(payload, pub, INTERSECTION) == f(["a5"])
-
-
 def _returns_input(f1, f2, op):
-    """The input ``combine`` may hand back: a closed frame the result equals (union: it contains the other)."""
+    """The input ``combine`` may hand back: one the result equals (union: it contains the other)."""
     def fits(a, b):
-        return a.kind == DUNG and (a.contains(b) if op == UNION else b.contains(a))
+        return a.contains(b) if op == UNION else b.contains(a)
     return fits(f1, f2), fits(f2, f1)
 
 
 @given(any_frames(), any_frames(), st.sampled_from([UNION, INTERSECTION]))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@example(f(["b0", "b1"], [("b0", "b1")]), f(["b0"], [("b0", "b1")], PRE_DUNG), UNION)
-@example(f(["b0"], [("b0", "b1")], PRE_DUNG), f(["b0", "b1"], [("b0", "b1")]), UNION)
-@example(f(["b0"]), f(["b0", "b1"], [("b0", "b1")], PRE_DUNG), INTERSECTION)
-@example(f(["b0", "b1"], [("b0", "b1")], PRE_DUNG), f(["b0"]), INTERSECTION)
+@example(f(["b0", "b1"], [("b0", "b1")]), f(["b0"]), UNION)
+@example(f(["b0"]), f(["b0", "b1"], [("b0", "b1")]), UNION)
+@example(f(["b0"]), f(["b0", "b1"], [("b0", "b1")]), INTERSECTION)
+@example(f(["b0", "b1"], [("b0", "b1")]), f(["b0"]), INTERSECTION)
 @example(f(["b0"]), f(["b0"]), UNION)
 def test_combine_returns_an_input_exactly_when_it_is_closed_and_the_result(f1, f2, op):
     out = combine(f1, f2, op)
     assert out == reference_combine(f1, f2, op)
-    assert out.kind == DUNG
     first, second = _returns_input(f1, f2, op)
     if out is f1:
         assert first
@@ -227,16 +222,3 @@ def test_combine_returns_an_input_exactly_when_it_is_closed_and_the_result(f1, f
         assert second
     assert (out is f1 or out is f2) == (first or second)
 
-
-@given(any_frames(), st.sampled_from([UNION, INTERSECTION]))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-def test_pre_dung_input_inside_a_closed_frame_gives_a_closed_result(payload, op):
-    if payload.kind != PRE_DUNG:
-        payload = ArgumentationFrame(payload.args, payload.attacks, PRE_DUNG)
-    ends = payload.args.union(*payload.attacks)
-    closed = ArgumentationFrame(ends, payload.attacks)
-    assert closed.contains(payload)
-    for out in (combine(closed, payload, op), combine(payload, closed, op)):
-        assert out.kind == DUNG
-        assert all(s in out.args and t in out.args for s, t in out.attacks)
-        assert out == reference_combine(closed, payload, op)

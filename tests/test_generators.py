@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _frame(f):
-    return [sorted(f.args), sorted(f.attacks), f.kind]
+    return [sorted(f.args), sorted(f.attacks)]
 
 
 def fingerprint(seed: int, count: int = 40) -> str:
@@ -31,7 +31,7 @@ def fingerprint(seed: int, count: int = 40) -> str:
             "sem_model": sorted([v, s, k.value] for (v, s), k in m.sem_model.items()),
             "intra": sorted([v, s, sorted(p.factual)] for (v, s), p in m.intra.items()),
             "trust": sorted([v, s, t] for (v, s), t in m.trust.items()),
-            "event": None if ev is None else [_frame(ev.payload), sorted(ev.announcers)],
+            "event": None if ev is None else [_frame(ev), sorted(ev.announcers)],
         })
     return json.dumps(out, sort_keys=True)
 

@@ -39,16 +39,16 @@ def test_all_facts_means_no_strict_pairs():
 
 def test_adjust_reverses_single_attack():
     frame = f(["a1", "a2"], [("a1", "a2")])
-    for order in (InterPreference("e1", frozenset({("a1", "a2")})), IntraPreference.of(["a2"])):
+    for order in (InterPreference(frozenset({("a1", "a2")})), IntraPreference.of(["a2"])):
         assert adjust(frame, order).attacks == {("a2", "a1")}
 
 
 def test_adjust_without_strict_pairs_is_identity():
     frame = f(["a1", "a2"], [("a1", "a2")])
-    assert adjust(frame, InterPreference("e1", frozenset())) is frame
+    assert adjust(frame, InterPreference(frozenset())) is frame
     assert adjust(frame, IntraPreference.of([])) is frame
     # Strict pairs that no attack runs against flip nothing either.
-    assert adjust(frame, InterPreference("e1", frozenset({("a2", "a1")}))) is frame
+    assert adjust(frame, InterPreference(frozenset({("a2", "a1")}))) is frame
     assert adjust(frame, IntraPreference.of(["a1"])) is frame
 
 
@@ -78,7 +78,7 @@ def frame_and_split(draw):
 def reference_adjust(f, order):
     """Reverse each attack on its own; the argument set never changes."""
     attacks = frozenset((t, s) if order.strictly_less(s, t) else (s, t) for s, t in f.attacks)
-    return ArgumentationFrame(f.args, attacks, f.kind)
+    return ArgumentationFrame(f.args, attacks)
 
 
 @st.composite
@@ -90,12 +90,12 @@ def frame_and_order(draw):
     pairs = draw(st.frozensets(st.tuples(st.sampled_from(args), st.sampled_from(args)), max_size=4))
     # Strict pairs taken from the frame's own attacks make reversals common.
     flips = draw(st.frozensets(st.sampled_from(sorted(frame.attacks)))) if frame.attacks else frozenset()
-    return frame, InterPreference("e1", pairs | flips)
+    return frame, InterPreference(pairs | flips)
 
 
 @given(frame_and_order())
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@example((f(["a1", "a3"], [("a1", "a3"), ("a3", "a1")]), InterPreference("e1", frozenset({("a3", "a1")}))))
+@example((f(["a1", "a3"], [("a1", "a3"), ("a3", "a1")]), InterPreference(frozenset({("a3", "a1")}))))
 @example((f(["a1", "a3"], [("a1", "a3"), ("a3", "a1")]), IntraPreference.of(["a1"])))
 def test_adjust_is_the_per_attack_reversal(case):
     frame, order = case
@@ -175,7 +175,7 @@ def reference_derive_inter(m, e):
             continue
         if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
             strict.add((a1, a2))
-    return InterPreference(e, frozenset(strict))
+    return InterPreference(frozenset(strict))
 
 
 def test_derive_inter_matches_the_eager_owner_map_reference():

@@ -5,7 +5,7 @@ from typing import Any
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mmarg.dynamics import TrustPolicy, Verdict
+from mmarg.dynamics import AnnouncementEvent, TrustPolicy, Verdict
 from mmarg.frames import ArgumentationFrame
 from mmarg.scenario import (
     Scenario,
@@ -226,8 +226,8 @@ def reference_trace_doc(trace: Trace) -> dict:
     for step in trace.steps:
         entry = {
             "index": step.index,
-            "announcers": list(step.announcers),
-            "payload": _frame_doc(step.payload),
+            "announcers": sorted(step.event.announcers),
+            "payload": _frame_doc(step.event),
             "public_added": {
                 "args": list(step.public_added_args),
                 "attacks": [list(p) for p in step.public_added_attacks],
@@ -266,6 +266,17 @@ def frames(draw) -> ArgumentationFrame:
 
 
 @st.composite
+def events(draw, announcers) -> AnnouncementEvent:
+    """An event over ``frames()``, plus attacks with one endpoint outside its arguments."""
+    frame = draw(frames())
+    reaching = frozenset()
+    if frame.args:
+        outside = st.tuples(st.sampled_from(sorted(frame.args)), IDS)
+        reaching = draw(st.frozensets(outside | outside.map(lambda p: p[::-1]), max_size=2))
+    return AnnouncementEvent(frame.args, frame.attacks | reaching, draw(st.frozensets(announcers, min_size=1, max_size=3)))
+
+
+@st.composite
 def traces(draw) -> Trace:
     agents = st.sampled_from(draw(st.lists(IDS, min_size=1, max_size=4, unique=True)))
     pairs = st.tuples(agents, agents)
@@ -274,8 +285,7 @@ def traces(draw) -> Trace:
     steps = st.builds(
         TraceStep,
         index=st.integers(0, 10**6),
-        announcers=st.lists(agents, max_size=3).map(tuple),
-        payload=frames(),
+        event=events(agents),
         public_added_args=st.lists(IDS, max_size=3).map(tuple),
         public_added_attacks=attacks,
         global_added_args=st.lists(IDS, max_size=3).map(tuple),
@@ -292,7 +302,7 @@ def traces(draw) -> Trace:
 
 def _edge_trace(**step_fields) -> Trace:
     empty = ArgumentationFrame(frozenset(), frozenset())
-    step = TraceStep(1, (), empty, (), (), (), (), {}, {}, {}, **step_fields)
+    step = TraceStep(1, AnnouncementEvent.of([], [], ["e"]), (), (), (), (), {}, {}, {}, **step_fields)
     return Trace((step,), MmaState(empty, empty, frozenset(), {}, {}, {}, {}, {}))
 
 
@@ -302,7 +312,7 @@ def _matrix_trace(agents, *trusts, final=None) -> Trace:
     pairs = [(v, s) for v in agents for s in agents]
     verdicts = [{p: list(Verdict)[(i + k) % 3] for k, p in enumerate(pairs) if p[0] != p[1]} for i in range(len(trusts))]
     steps = tuple(
-        TraceStep(i + 1, tuple(agents), empty, (), (), (), (), verdicts[i], before, after)
+        TraceStep(i + 1, AnnouncementEvent.of([], [], agents), (), (), (), (), verdicts[i], before, after)
         for i, (before, after) in enumerate(zip((trusts[0],) + trusts, trusts))
     )
     final_trust = trusts[-1] if final is None else final

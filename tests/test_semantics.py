@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmarg.frames import DUNG, PRE_DUNG, ArgumentationFrame
+from mmarg.frames import ArgumentationFrame
 from mmarg.oracle import oracle_semantics
 from mmarg.semantics import (
     CREDULOUS,
@@ -48,12 +48,6 @@ def test_conflict_free_counts_self_attack():
 def test_conflict_free_rejects_unknown_member():
     with pytest.raises(ValueError):
         is_conflict_free({"zz"}, SINGLE_ATTACK)
-
-
-def test_conflict_free_rejects_partial_frame():
-    partial = ArgumentationFrame.of(["a1"], [], PRE_DUNG)
-    with pytest.raises(ValueError):
-        is_conflict_free(set(), partial)
 
 
 def test_defends_via_counter_attack():

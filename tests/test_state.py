@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from mmarg.frames import DUNG, ArgumentationFrame, combine, UNION
+from mmarg.frames import ArgumentationFrame, combine, UNION
 from mmarg.preferences import IntraPreference
 from mmarg.export import export_graph, to_dot
 from mmarg.scenario import query, state_at
