@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of the benchmark in two checkouts.
+
+Usage: python3 scripts/ab_bench.py BASE CHANGE --workload W --seed N --seconds S --pairs K
+
+Runs each checkout's own ``bench/run.py --trace 0`` K times, in pairs
+whose order alternates: BASE runs first in odd pairs, CHANGE in even ones.
+Prints every pair's values, then for each end-to-end metric named in
+BASE's ``BENCHMARK.json`` the median and quartiles of each side, the
+change/base ratio of the medians and how many pairs the change won (ties
+count for neither side).  Exits 1 when any run reports ``"correct": false``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable
+
+# (checkout, workload, seed, seconds) -> the run's standard output.
+Runner = Callable[[Path, str, int, float], str]
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> str:
+    """One untraced benchmark run in ``checkout``; raises if it exits non-zero."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
+    return subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON result, which ``bench/run.py`` prints as its last line."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), inclusive of the extremes."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def pair_lines(i: int, base: dict, change: dict, metrics: list[dict]) -> list[str]:
+    """The values of pair ``i``, ``metrics`` as in ``BENCHMARK.json``'s ``end_to_end``."""
+    first = "base" if i % 2 else "change"
+    lines = [f"pair {i} ({first} first): failed {base['failed']}/{change['failed']}"]
+    for m in metrics:
+        name = m["name"]
+        lines.append(f"  {name:12s} base {base['metrics'][name]['value']:12.6g}  change {change['metrics'][name]['value']:12.6g}")
+    return lines
+
+
+def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
+    """Per metric: each side's median and quartiles, the change/base ratio of medians, the wins."""
+    lines = []
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        bv = [r["metrics"][name]["value"] for r in base]
+        cv = [r["metrics"][name]["value"] for r in change]
+        wins = sum(sign * (y - x) > 0 for x, y in zip(bv, cv))
+        (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(bv), quartiles(cv)
+        ratio = f"{cmed / bmed:.3f}" if bmed else "n/a"
+        lines.append(
+            f"{name} ({m['unit']}, {m['better']} is better): base {bmed:.6g} [{bq1:.6g}, {bq3:.6g}]  "
+            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  change/base {ratio}  change wins {wins} of {len(bv)}"
+        )
+    return lines
+
+
+def main(argv: list[str] | None = None, run: Runner = run_bench) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    ns = parser.parse_args(argv)
+    if ns.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = json.loads((ns.base / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+    print(f"workload {ns.workload}  seed {ns.seed}  {ns.seconds:g} s per run  {ns.pairs} pairs", flush=True)
+    checkouts = (ns.base, ns.change)
+    results: tuple[list[dict], list[dict]] = ([], [])
+    for i in range(1, ns.pairs + 1):
+        for side in ((0, 1) if i % 2 else (1, 0)):
+            results[side].append(parse_result(run(checkouts[side], ns.workload, ns.seed, ns.seconds)))
+        print("\n".join(pair_lines(i, results[0][-1], results[1][-1], metrics)), flush=True)
+    print("\n".join(["", *summary_lines(*results, metrics)]))
+    wrong = [(name, i) for name, side in zip(("base", "change"), results)
+             for i, r in enumerate(side, start=1) if r["correct"] is not True]
+    for name, i in wrong:
+        print(f"{name} run of pair {i} reports incorrect outputs", file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

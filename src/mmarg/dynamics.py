@@ -15,7 +15,10 @@ matrix on the announced state, trust revision.  :func:`update` is its
 revised state and :func:`detect` one entry of its verdict matrix.  A step
 solves each distinct (semantics kind, frame) its verdicts ask for once: the
 pairs share one memo that lives only as long as the call, and every miss
-calls this module's ``semantics`` as it is bound at that moment.
+calls this module's ``semantics`` as it is bound at that moment.  A pair
+whose viewer sees nothing of the subject's scope beyond the public record
+models the subject by the public record itself, so the two semantics agree:
+it is judged by the factual test alone and solves nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Iterable
 
 from .frames import Attack, ArgumentationFrame, _check_ids, restrict
 from .semantics import ExtensionSet, SemanticsKind, semantics
-from .state import MmaState, Pair, Violation, _is_int, adjusted_perceived, public_model
+from .state import MmaState, Pair, Violation, _is_int, adjusted_perceived, perceived, public_model
 
 Solve = Callable[[SemanticsKind, ArgumentationFrame], ExtensionSet]
 
@@ -160,11 +163,19 @@ def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet
 
 
 def _verdict(m2: MmaState, viewer: str, subject: str, ev: AnnouncementEvent, solve: Solve) -> Verdict:
-    """Compare the trust-neutral public and local semantics, both solved through ``solve``."""
+    """Compare the trust-neutral public and local semantics, both solved through ``solve``.
+
+    When the viewer's model of the subject is the public record, both frames
+    are the same adjusted frame, whose semantics is never empty, so they
+    agree and only the factual test decides; no adjusted frame is built and
+    nothing is solved.
+    """
     checked = ev.args & m2.scope[subject].args
     if not checked:
         # Nothing of the subject's own scope was announced: no evidence.
         return Verdict.UNDETERMINED
+    if perceived(m2, viewer, subject) == m2.public_af:
+        return Verdict.HONEST if checked <= m2.intra[(viewer, subject)].factual else Verdict.UNDETERMINED
     kind = m2.sem_model[(viewer, subject)]
     src = restrict_extensions(solve(kind, public_model(m2, viewer, subject)), checked)
     tgt = restrict_extensions(solve(kind, adjusted_perceived(m2, viewer, subject)), checked)
@@ -197,9 +208,12 @@ def step(
     agents is judged on the announced state; each verdict then shifts its
     pair's trust by the policy.  Revision moves trust and nothing else.
     Only subjects whose scope the event meets are judged: every verdict
-    on any other subject is undetermined without building a frame.  Each
-    distinct (kind, frame) the verdicts need is solved once, through a
-    memo made for this call.  Raises :class:`AnnouncementError` for an
+    on any other subject is undetermined without building a frame.  A
+    pair whose viewer's model of the subject is the public record is judged
+    by the factual test alone, with no adjusted frame built and nothing
+    solved.  Each
+    distinct (kind, frame) the other verdicts need is solved once, through
+    a memo made for this call.  Raises :class:`AnnouncementError` for an
     invalid event.
     """
     return _step(m, ev, policy, functools.cache(semantics))
@@ -208,7 +222,7 @@ def step(
 def _step(
     m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy, solve: Solve
 ) -> tuple[MmaState, dict[Pair, Verdict], MmaState]:
-    """:func:`step` with every verdict solved through ``solve``, a memo the caller owns."""
+    """:func:`step` with every verdict's solves going through ``solve``, a memo the caller owns."""
     _, _, m2 = announce(m, ev)
     order = sorted(m.agents)
     touched = {s for s in order if not ev.args.isdisjoint(m2.scope[s].args)}

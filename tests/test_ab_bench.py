@@ -1,0 +1,73 @@
+"""scripts/ab_bench.py on canned benchmark output; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+
+METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+
+
+def canned(ops_per_s, correct=True):
+    """What ``bench/run.py`` prints: a table, then the JSON result as the last line."""
+    values = dict.fromkeys(METRICS, 10.0) | {"ops_per_s": ops_per_s}
+    result = {
+        "correct": correct,
+        "attempted": 100,
+        "failed": 0 if correct else 3,
+        "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()},
+    }
+    return f"workload synth-replay  seed 0\n  ops_per_s {ops_per_s}\n{json.dumps(result)}\n"
+
+
+def fake_runner(base, base_values, change_values, wrong=()):
+    calls = []
+    queues = {"base": list(base_values), "change": list(change_values)}
+
+    def run(checkout, workload, seed, seconds):
+        side = "base" if checkout == base else "change"
+        calls.append((side, workload, seed, seconds))
+        return canned(queues[side].pop(0), correct=(side, len(calls)) not in wrong)
+
+    return run, calls
+
+
+def test_pairs_alternate_and_the_summary_reads_medians_quartiles_ratio_and_wins(tmp_path, capsys):
+    run, calls = fake_runner(ROOT, [50, 52, 48, 51], [70, 75, 47, 72])
+    argv = [str(ROOT), str(tmp_path), "--workload", "synth-replay", "--seed", "0", "--seconds", "20", "--pairs", "4"]
+    assert ab_bench.main(argv, run=run) == 0
+    assert [c[0] for c in calls] == ["base", "change", "change", "base", "base", "change", "change", "base"]
+    assert set(c[1:] for c in calls) == {("synth-replay", 0, 20.0)}
+    out = capsys.readouterr().out
+    assert "pair 2 (change first)" in out
+    assert "base           52  change           75" in out
+    summary = next(line for line in out.splitlines() if line.startswith("ops_per_s"))
+    assert "base 50.5 [49.5, 51.25]" in summary
+    assert "change 71 [64.25, 72.75]" in summary
+    assert "change/base 1.406" in summary and "change wins 3 of 4" in summary
+    # Equal values on both sides are ties, won by neither.
+    setup = next(line for line in out.splitlines() if line.startswith("setup_s"))
+    assert "change/base 1.000" in setup and "change wins 0 of 4" in setup
+
+
+def test_lower_is_better_metrics_count_a_drop_as_a_win():
+    metrics = [{"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+    base = [json.loads(canned(1).splitlines()[-1]) for _ in range(2)]
+    change = [json.loads(canned(1).splitlines()[-1]) for _ in range(2)]
+    change[0]["metrics"]["op_p50_ms"]["value"] = 5.0
+    change[1]["metrics"]["op_p50_ms"]["value"] = 15.0
+    (line,) = ab_bench.summary_lines(base, change, metrics)
+    assert "change wins 1 of 2" in line
+
+
+def test_an_incorrect_run_makes_the_exit_status_nonzero(tmp_path, capsys):
+    run, _ = fake_runner(ROOT, [50, 50], [60, 60], wrong={("change", 3)})
+    argv = [str(ROOT), str(tmp_path), "--workload", "cli-session", "--seed", "1", "--seconds", "1", "--pairs", "2"]
+    assert ab_bench.main(argv, run=run) == 1
+    captured = capsys.readouterr()
+    assert "change run of pair 2 reports incorrect outputs" in captured.err
+    assert "failed 0/3" in captured.out

@@ -1,9 +1,11 @@
+import functools
 import random
 import sys
 from dataclasses import replace
 
 import pytest
 
+import mmarg.dynamics
 from mmarg.dynamics import (
     AnnouncementError,
     AnnouncementEvent,
@@ -17,10 +19,19 @@ from mmarg.dynamics import (
     update,
 )
 from mmarg.frames import ArgumentationFrame, restrict
+from mmarg.oracle import oracle_semantics
 from mmarg.preferences import IntraPreference
 from mmarg.scenario import bundled_scenarios, run, state_at
 from mmarg.semantics import SemanticsKind
-from mmarg.state import MmaState, adjusted_perceived, perceived, public_model, trust_adjusted_public_model, validate
+from mmarg.state import (
+    MmaState,
+    adjusted_perceived,
+    perceived,
+    perceived_lower_bound,
+    public_model,
+    trust_adjusted_public_model,
+    validate,
+)
 
 from conftest import load_bundled, random_announcement, random_state
 
@@ -377,14 +388,25 @@ def perceived_calls(monkeypatch):
     return _record_calls(monkeypatch, adjusted_perceived)
 
 
+def _solved_pairs(m2, event):
+    """The pairs whose verdict solves: touched, with a local model other than the public record.
+
+    Every other touched pair is judged by the factual test alone.
+    """
+    return {
+        (v, s)
+        for v in m2.agents
+        for s in m2.agents
+        if v != s and event.args & m2.scope[s].args and perceived(m2, v, s) != m2.public_af
+    }
+
+
 def _verdict_solves(m2, event):
     """The (kind, frame) pairs the verdict matrix on the announced state needs."""
     need = set()
-    for v in m2.agents:
-        for s in m2.agents:
-            if v != s and event.args & m2.scope[s].args:
-                kind = m2.sem_model[(v, s)]
-                need |= {(kind, public_model(m2, v, s)), (kind, adjusted_perceived(m2, v, s))}
+    for v, s in _solved_pairs(m2, event):
+        kind = m2.sem_model[(v, s)]
+        need |= {(kind, public_model(m2, v, s)), (kind, adjusted_perceived(m2, v, s))}
     return need
 
 
@@ -420,21 +442,26 @@ def test_step_solves_each_distinct_kind_and_frame_once(solver_calls):
 
 def test_step_judges_only_subjects_whose_scope_the_payload_meets(perceived_calls):
     cases = _step_cases()
-    untouched = 0
+    untouched = shortcut = solved = 0
     for m, event, policy in cases:
         perceived_calls.clear()
         m2, verdicts, _ = step(m, event, policy)
         touched = {
             (v, s) for v, s in verdicts if event.args & m2.scope[s].args
         }
+        local = _solved_pairs(m2, event)
         built = [(v, s) for _, v, s in perceived_calls]
-        assert sorted(built) == sorted(touched)
+        assert sorted(built) == sorted(local)
+        shortcut += len(touched - local)
+        solved += len(local)
         for pair, verdict in verdicts.items():
             if pair not in touched:
                 untouched += 1
                 assert verdict is Verdict.UNDETERMINED
             assert detect(m, *pair, event) is verdict
     assert untouched > 100
+    # Both ways of judging a touched pair occur, so neither is tested vacuously.
+    assert shortcut > 0 and solved > 0
 
 
 def test_run_solves_each_step_once_and_keeps_nothing_between_calls(solver_calls):
@@ -453,3 +480,83 @@ def test_run_solves_each_step_once_and_keeps_nothing_between_calls(solver_calls)
             run(sc, with_semantics=True)
             counts.append(len(solver_calls))
         assert counts == [expected, expected], name
+
+
+def reference_verdict(m2, viewer, subject, event, solve):
+    """The verdict with both frames always built and solved through ``solve``."""
+    checked = event.args & m2.scope[subject].args
+    if not checked:
+        return Verdict.UNDETERMINED
+    kind = m2.sem_model[(viewer, subject)]
+    src = restrict_extensions(solve(kind, public_model(m2, viewer, subject)), checked)
+    tgt = restrict_extensions(solve(kind, adjusted_perceived(m2, viewer, subject)), checked)
+    if not src & tgt:
+        return Verdict.DISHONEST
+    if src == tgt and checked <= m2.intra[(viewer, subject)].factual:
+        return Verdict.HONEST
+    return Verdict.UNDETERMINED
+
+
+def _with_overrides(rng, m):
+    """``m`` with a freshly built override on about half of its ordered pairs.
+
+    Half of those equal the pair's lower bound by value without being it;
+    the rest may add arguments and attacks from the viewer's awareness.
+    """
+    overrides = {}
+    for v in sorted(m.agents):
+        for s in sorted(m.agents):
+            if v == s or rng.random() < 0.5:
+                continue
+            lower = perceived_lower_bound(m, v, s)
+            args, attacks = set(lower.args), set(lower.attacks)
+            if rng.random() < 0.5:
+                args |= {a for a in sorted(m.aware[v].args - lower.args) if rng.random() < 0.3}
+                attacks |= {
+                    (x, y) for x, y in sorted(m.aware[v].attacks) if x in args and y in args and rng.random() < 0.5
+                }
+            overrides[(v, s)] = ArgumentationFrame(frozenset(args), frozenset(attacks))
+    m = replace(m, overrides=overrides)
+    assert validate(m) == []
+    return m
+
+
+def _replayed_cases(n_states=120):
+    """(state, event, policy) for random states reached by 1-3 announcements, each judged on one more.
+
+    The initial states carry private awareness and the overrides of
+    :func:`_with_overrides`; every announcement on the way is a case too.
+    """
+    rng = random.Random(1909)
+    cases = []
+    reached = 0
+    while reached < n_states:
+        m = _with_overrides(rng, random_state(rng, density=0.3))
+        todo = rng.randint(1, 3) + 1
+        for done in range(todo):
+            event = random_announcement(rng, m)
+            if event is None:
+                break
+            cases.append((m, event, TrustPolicy()))
+            reached += done > 0
+            m = update(m, event)
+    return cases
+
+
+@pytest.mark.parametrize("solver", ["semantics", "oracle_semantics"])
+def test_step_verdicts_equal_the_always_solving_reference(monkeypatch, solver):
+    if solver == "oracle_semantics":
+        monkeypatch.setattr(mmarg.dynamics, "semantics", oracle_semantics)
+    cases = _step_cases() + _replayed_cases()
+    by_value = dishonest = 0
+    for m, event, policy in cases:
+        m2, verdicts, _ = step(m, event, policy)
+        solve = functools.cache(mmarg.dynamics.semantics)
+        for (v, s), verdict in verdicts.items():
+            assert verdict is reference_verdict(m2, v, s, event, solve), (v, s, event)
+            local = perceived(m2, v, s)
+            by_value += bool(event.args & m2.scope[s].args) and local == m2.public_af and local is not m2.public_af
+            dishonest += verdict is Verdict.DISHONEST
+    # The shortcut's comparison runs on equal but distinct frames, and
+    # private awareness yields deception verdicts.
+    assert by_value > 0 and dishonest > 0
