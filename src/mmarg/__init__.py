@@ -8,8 +8,6 @@ plus a scenario file format and CLI to replay games deterministically.
 
 from .frames import (
     EMPTY_FRAME,
-    INTERSECTION,
-    UNION,
     ArgumentationFrame,
     combine,
     restrict,

@@ -1,14 +1,14 @@
 """Announcement dynamics: expansion, deception/honesty detection, trust revision.
 
-A public announcement, an :class:`AnnouncementEvent`, adds its arguments and
-attacks to the global, public and per-agent awareness frames.  After each
-announcement every ordered pair of distinct agents runs detection: the
-viewer compares what the subject claims publicly against what the viewer
-models the subject to actually conclude, both restricted to the announced
-arguments from the subject's scope.
-Disjoint restrictions certify deception; exact agreement on arguments the
-viewer knows factual certifies honesty; anything else stays undetermined.
-Detected verdicts move the trust matrix by a policy's step sizes.
+A public announcement, an :class:`AnnouncementEvent`, joins the global,
+public and per-agent awareness frames; scopes are argument sets and stay.
+After each announcement every ordered pair of distinct agents runs
+detection: the viewer compares what the subject claims publicly against
+what the viewer models the subject to actually conclude, both restricted to
+the announced arguments from the subject's scope.  Disjoint restrictions
+certify deception; exact agreement on arguments the viewer knows factual
+certifies honesty; anything else stays undetermined.  Detected verdicts
+move the trust matrix by a policy's step sizes.
 
 :func:`step` is that whole replay step, done once: announce, the verdict
 matrix on the announced state, trust revision.  :func:`update` is its
@@ -28,9 +28,10 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from .frames import Attack, ArgumentationFrame, _check_ids, restrict
+from .frames import Attack, ArgumentationFrame, _check_ids, combine
 from .semantics import ExtensionSet, SemanticsKind, semantics
-from .state import MmaState, Pair, Violation, _is_int, adjusted_perceived, perceived, public_model
+from .preferences import adjust
+from .state import MmaState, Pair, Violation, _is_int, perceived, public_model
 
 Solve = Callable[[SemanticsKind, ArgumentationFrame], ExtensionSet]
 
@@ -122,38 +123,23 @@ def announce(m: MmaState, ev: AnnouncementEvent) -> tuple[MmaState, Announcement
     """Merge a valid announcement into a snapshot, returning (before, event, after).
 
     Global, public, every awareness frame and every override grow by the
-    event's arguments and attacks (a frame that holds them all is kept).
-    Each contains the public record, so after the no-leak check each grown
-    frame is closed; a hand-built state that breaks this nesting raises
-    ``ValueError``.  Each scope follows the new global frame: it keeps its
-    arguments and holds every global attack among them, so an attack
-    fabricated between two arguments of one scope lands there too.  A scope
-    is rebuilt only when such a newly global attack lands inside it; every
-    other scope keeps its frame.  Agents, semantics models, fact splits and
-    trust stay put (trust moves only in revision).
+    event through :func:`~mmarg.frames.combine` (a frame that holds it all
+    is kept).  Each contains the public record, so after the no-leak check
+    each grown frame is closed; a hand-built state that breaks this nesting
+    raises ``ValueError``.  Scopes, agents, semantics models, fact splits
+    and trust stay put (trust moves only in revision).
     """
     violations = check_announcement(m, ev)
     if violations:
         raise AnnouncementError(violations)
-    global_af = _grow(m.global_af, ev)
-    fresh = global_af.attacks - m.global_af.attacks
     m2 = replace(
         m,
-        global_af=global_af,
-        public_af=_grow(m.public_af, ev),
-        scope={
-            e: restrict(global_af, f.args) if any(s in f.args and t in f.args for s, t in fresh) else f
-            for e, f in m.scope.items()
-        },
-        aware={e: _grow(f, ev) for e, f in m.aware.items()},
-        overrides={pair: _grow(f, ev) for pair, f in m.overrides.items()},
+        global_af=combine(m.global_af, ev),
+        public_af=combine(m.public_af, ev),
+        aware={e: combine(f, ev) for e, f in m.aware.items()},
+        overrides={pair: combine(f, ev) for pair, f in m.overrides.items()},
     )
     return m, ev, m2
-
-
-def _grow(f: ArgumentationFrame, ev: AnnouncementEvent) -> ArgumentationFrame:
-    """``f`` with the event's arguments and attacks added; ``f`` itself when it holds them all."""
-    return f if f.contains(ev) else ArgumentationFrame(f.args | ev.args, f.attacks | ev.attacks)
 
 
 def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet:
@@ -165,23 +151,25 @@ def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet
 def _verdict(m2: MmaState, viewer: str, subject: str, ev: AnnouncementEvent, solve: Solve) -> Verdict:
     """Compare the trust-neutral public and local semantics, both solved through ``solve``.
 
-    When the viewer's model of the subject is the public record, both frames
-    are the same adjusted frame, whose semantics is never empty, so they
-    agree and only the factual test decides; no adjusted frame is built and
-    nothing is solved.
+    The viewer's model of the subject is built once.  When it is the public
+    record, both frames are the same adjusted frame, whose semantics is
+    never empty, so they agree and only the factual test decides; no
+    adjusted frame is built and nothing is solved.
     """
-    checked = ev.args & m2.scope[subject].args
+    checked = ev.args & m2.scope[subject]
     if not checked:
         # Nothing of the subject's own scope was announced: no evidence.
         return Verdict.UNDETERMINED
-    if perceived(m2, viewer, subject) == m2.public_af:
-        return Verdict.HONEST if checked <= m2.intra[(viewer, subject)].factual else Verdict.UNDETERMINED
+    intra = m2.intra[(viewer, subject)]
+    local = perceived(m2, viewer, subject)
+    if local == m2.public_af:
+        return Verdict.HONEST if checked <= intra.factual else Verdict.UNDETERMINED
     kind = m2.sem_model[(viewer, subject)]
     src = restrict_extensions(solve(kind, public_model(m2, viewer, subject)), checked)
-    tgt = restrict_extensions(solve(kind, adjusted_perceived(m2, viewer, subject)), checked)
+    tgt = restrict_extensions(solve(kind, adjust(local, intra)), checked)
     if not src & tgt:
         return Verdict.DISHONEST
-    if src == tgt and checked <= m2.intra[(viewer, subject)].factual:
+    if src == tgt and checked <= intra.factual:
         return Verdict.HONEST
     return Verdict.UNDETERMINED
 
@@ -225,7 +213,7 @@ def _step(
     """:func:`step` with every verdict's solves going through ``solve``, a memo the caller owns."""
     _, _, m2 = announce(m, ev)
     order = sorted(m.agents)
-    touched = {s for s in order if not ev.args.isdisjoint(m2.scope[s].args)}
+    touched = {s for s in order if not ev.args.isdisjoint(m2.scope[s])}
     verdicts = {
         (v, s): _verdict(m2, v, s, ev, solve) if s in touched else Verdict.UNDETERMINED
         for v in order

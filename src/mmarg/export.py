@@ -3,7 +3,7 @@
 One node per argument, one directed edge per attack; publicly announced
 arguments are drawn filled and each agent's scope arguments are grouped in
 a cluster.  A selector is a view name from :data:`mmarg.state.VIEWS`
-followed by its agents, separated by colons (``adjusted:e2:e1``).
+followed by its agents, separated by colons (``local:e2:e1``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def to_dot(m: MmaState, frame: ArgumentationFrame, labels: dict[str, str] | None
     lines = [f"digraph {_quote(title)} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
     grouped: set[str] = set()
     for e in sorted(m.agents):
-        members = sorted(frame.args & m.scope[e].args)
+        members = sorted(frame.args & m.scope[e])
         if not members:
             continue
         grouped.update(members)

@@ -3,18 +3,19 @@
 Every frame is closed: both endpoints of every attack are among the frame's
 arguments, as in a Dung framework.  The one partial thing, an announcement
 whose attack may land on an argument someone else put forward earlier, is
-an :class:`mmarg.dynamics.AnnouncementEvent`, not a frame.
+an :class:`mmarg.dynamics.AnnouncementEvent`, not a frame.  Frames grow by
+one union, :func:`combine`, and shrink by one cut, :func:`restrict`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .dynamics import AnnouncementEvent
 
 Attack = tuple[str, str]
-
-UNION = "union"
-INTERSECTION = "intersection"
 
 
 def _check_ids(args: Iterable[object]) -> None:
@@ -42,12 +43,9 @@ class ArgumentationFrame:
     def of(cls, args: Iterable[str], attacks: Iterable[Attack] = ()) -> ArgumentationFrame:
         return cls(frozenset(args), frozenset((s, t) for s, t in attacks))
 
-    def contains(self, other: ArgumentationFrame) -> bool:
+    def contains(self, other: ArgumentationFrame | AnnouncementEvent) -> bool:
         """Sub-frame test: ``other``'s arguments and attacks are all here."""
         return other.args <= self.args and other.attacks <= self.attacks
-
-    def is_empty(self) -> bool:
-        return not self.args and not self.attacks
 
     def sorted_args(self) -> list[str]:
         return sorted(self.args)
@@ -66,19 +64,8 @@ def restrict(f: ArgumentationFrame, keep: Iterable[str]) -> ArgumentationFrame:
     return ArgumentationFrame(kept, attacks)
 
 
-def combine(f1: ArgumentationFrame, f2: ArgumentationFrame, op: str = UNION) -> ArgumentationFrame:
-    """Pointwise union or intersection of two frames, itself a closed frame.
-
-    When the result equals an input, that input itself is returned: for a
-    union, a frame that contains the other; for an intersection, a frame
-    that lies inside the other.
-    """
-    if op not in (UNION, INTERSECTION):
-        raise ValueError(f"unknown combine op: {op!r}")
-    union = op == UNION
-    for a, b in ((f1, f2), (f2, f1)):
-        if a.contains(b) if union else b.contains(a):
-            return a
-    if union:
-        return ArgumentationFrame(f1.args | f2.args, f1.attacks | f2.attacks)
-    return ArgumentationFrame(f1.args & f2.args, f1.attacks & f2.attacks)
+def combine(f: ArgumentationFrame, other: ArgumentationFrame | AnnouncementEvent) -> ArgumentationFrame:
+    """``f`` with ``other``'s arguments and attacks added (a closed frame); ``f`` itself when it holds them all."""
+    if f.contains(other):
+        return f
+    return ArgumentationFrame(f.args | other.args, f.attacks | other.attacks)

@@ -91,7 +91,7 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
         if a1 in factual or a2 in factual:
             continue
         if owner is None:
-            owner = {a: agent for agent in m.agents for a in m.scope[agent].args}
+            owner = {a: agent for agent in m.agents for a in m.scope[agent]}
         if a1 not in owner or a2 not in owner:
             continue
         if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:

@@ -178,12 +178,7 @@ def parse_scenario(doc: Any) -> Scenario:
     for s, t in sorted(global_attacks):
         _expect(s in arg_ids and t in arg_ids, f"global attack ({s},{t}) uses an undeclared argument")
     global_af = ArgumentationFrame(arg_ids, global_attacks)
-
-    scope = {}
-    for e in agents:
-        fe_args = frozenset(scopes_raw[e])
-        fe_attacks = frozenset((s, t) for s, t in global_attacks if s in fe_args and t in fe_args)
-        scope[e] = ArgumentationFrame(fe_args, fe_attacks)
+    scope = {e: frozenset(scopes_raw[e]) for e in agents}
 
     aware_raw = doc["awareness"]
     _expect(isinstance(aware_raw, dict) and set(aware_raw) == set(agents), "awareness must cover exactly the agents")
@@ -311,7 +306,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "notes": sc.notes,
         "arguments": [{"id": d.id, "owner": d.owner, "label": d.label} for d in sorted(sc.arguments, key=lambda d: d.id)],
         "global_attacks": [list(p) for p in m.global_af.sorted_attacks()],
-        "scopes": {e: m.scope[e].sorted_args() for e in agents},
+        "scopes": {e: sorted(m.scope[e]) for e in agents},
         "awareness": {e: _frame_doc(m.aware[e]) for e in agents},
         "public": _frame_doc(m.public_af),
         "gsem": _pair_matrix_doc(m.sem_model, lambda k: k.value),

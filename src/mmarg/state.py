@@ -1,10 +1,11 @@
 """Multi-agent argumentation state: scopes, awareness, opponent models.
 
 An :class:`MmaState` snapshot carries the global argumentation, the public
-record, per-agent scope and awareness frames, a semantics choice per
-ordered agent pair, the fact/guess split each agent assumes per pair, and
-the trust matrix.  Snapshots are immutable; announcement dynamics build new
-ones (see :mod:`mmarg.dynamics`).
+record, per-agent scopes (argument sets) and awareness frames, a semantics
+choice per ordered agent pair, the fact/guess split each agent assumes per
+pair, and the trust matrix.  An agent's local argumentation is the global
+frame restricted to its scope, derived where needed.  Snapshots are
+immutable; announcement dynamics build new ones (see :mod:`mmarg.dynamics`).
 
 ``validate`` reports structural violations as data rather than raising, so
 a loader can list everything wrong with a scenario at once.  Every view a
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .frames import INTERSECTION, UNION, ArgumentationFrame, combine
+from .frames import ArgumentationFrame, combine, restrict
 from .preferences import IntraPreference, adjust, derive_inter
 from .semantics import ExtensionSet, SemanticsKind, semantics
 
@@ -40,19 +41,19 @@ class Violation:
 class MmaState:
     """One epistemic snapshot of a multi-agent argumentation.
 
-    ``scope`` maps each agent to the sub-argumentation it owns, ``aware`` to
-    everything it sees (own scope, public record, and whatever else it
-    knows of others).  ``sem_model[(e1, e2)]`` is the semantics e1 assumes
-    e2 applies; ``intra[(e1, e2)]`` is e1's model of e2's fact/guess split;
-    ``trust[(e1, e2)]`` is the numeric trust e1 gives e2.  ``overrides``
-    optionally pins e1's model of e2's argumentation to a concrete frame
-    instead of the default lower bound.
+    ``scope`` maps each agent to the arguments it owns, ``aware`` to the
+    frame of all it sees (its local argumentation, the public record, and
+    whatever else it knows of others).  ``sem_model[(e1, e2)]`` is the
+    semantics e1 assumes e2 applies; ``intra[(e1, e2)]`` is e1's model of
+    e2's fact/guess split; ``trust[(e1, e2)]`` is the numeric trust e1 gives
+    e2.  ``overrides`` optionally pins e1's model of e2's argumentation to a
+    concrete frame instead of the default lower bound.
     """
 
     global_af: ArgumentationFrame
     public_af: ArgumentationFrame
     agents: frozenset[str]
-    scope: Mapping[str, ArgumentationFrame]
+    scope: Mapping[str, frozenset[str]]
     aware: Mapping[str, ArgumentationFrame]
     sem_model: Mapping[Pair, SemanticsKind]
     intra: Mapping[Pair, IntraPreference]
@@ -66,20 +67,25 @@ def _pairs(agents: frozenset[str]) -> list[Pair]:
 
 
 def perceived_lower_bound(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
-    """Public record plus the part of the subject's scope the viewer sees."""
-    shared = combine(m.aware[viewer], m.scope[subject], INTERSECTION)
-    return combine(m.public_af, shared, UNION)
+    """The public record joined with the viewer's awareness restricted to the subject's scope.
+
+    That is the public record itself when the part seen is public, attacks included."""
+    aware, public_af = m.aware[viewer], m.public_af
+    seen = aware.args & m.scope[subject]
+    if seen <= public_af.args and not any(s in seen and t in seen for s, t in aware.attacks - public_af.attacks):
+        return public_af
+    return combine(public_af, restrict(aware, seen))
 
 
 def validate(m: MmaState) -> list[Violation]:
     """All structural violations of the snapshot; empty means well formed.
 
     Conditions are named after what they guard: scope/awareness/public
-    nesting, scope disjointness and attack faithfulness, factual arguments
-    inside their holder's awareness, knowledge propagation of facts into
-    their owner's scope, and the epistemic bounds on explicit
-    opponent-model overrides.  Trust entries are integers (not ``bool``);
-    the trust order between agents is derived on demand and needs no check.
+    nesting, scope disjointness, factual arguments inside their holder's
+    awareness, knowledge propagation of facts into their owner's scope, and
+    the epistemic bounds on explicit opponent-model overrides.  Trust
+    entries are integers (not ``bool``); the trust order between agents is
+    derived on demand and needs no check.
     """
     out: list[Violation] = []
 
@@ -89,22 +95,18 @@ def validate(m: MmaState) -> list[Violation]:
     for e in sorted(m.agents):
         for name, mapping in (("scope", m.scope), ("awareness", m.aware)):
             if e not in mapping:
-                out.append(Violation("structure", f"agent {e} has no {name} frame"))
+                out.append(Violation("structure", f"agent {e} has no {name}"))
         if e not in m.scope or e not in m.aware:
             continue
         fe, fa = m.scope[e], m.aware[e]
-        if fe.is_empty():
-            out.append(Violation("structure", f"scope of {e} is the empty frame"))
-        for name, fr in (("scope", fe), ("awareness", fa)):
-            if not m.global_af.contains(fr):
-                out.append(Violation("structure", f"{name} of {e} is not a sub-frame of the global frame"))
-        induced = frozenset(
-            (s, t) for s, t in m.global_af.attacks if s in fe.args and t in fe.args
-        )
-        if fe.attacks != induced:
-            out.append(Violation("local scopes", f"scope attacks of {e} do not match the global frame restricted to the scope"))
-        if not fa.contains(fe):
-            out.append(Violation("local agent argumentation", f"awareness of {e} does not subsume the scope of {e}"))
+        if not fe:
+            out.append(Violation("structure", f"scope of {e} is empty"))
+        if not fe <= m.global_af.args:
+            out.append(Violation("structure", f"scope of {e} lists arguments outside the global frame"))
+        if not m.global_af.contains(fa):
+            out.append(Violation("structure", f"awareness of {e} is not a sub-frame of the global frame"))
+        if not fa.contains(restrict(m.global_af, fe)):
+            out.append(Violation("local agent argumentation", f"awareness of {e} does not subsume the local argumentation of {e}"))
         if not fa.contains(m.public_af):
             out.append(Violation("public subsumption", f"awareness of {e} does not subsume the public frame"))
 
@@ -112,7 +114,7 @@ def validate(m: MmaState) -> list[Violation]:
     for i, e1 in enumerate(order):
         for e2 in order[i + 1:]:
             if e1 in m.scope and e2 in m.scope:
-                shared = m.scope[e1].args & m.scope[e2].args
+                shared = m.scope[e1] & m.scope[e2]
                 if shared:
                     out.append(Violation("local scopes", f"scopes of {e1} and {e2} share arguments {sorted(shared)}"))
 
@@ -135,7 +137,7 @@ def validate(m: MmaState) -> list[Violation]:
         for owner in order:
             if owner not in m.scope:
                 continue
-            for a in sorted(known & m.scope[owner].args):
+            for a in sorted(known & m.scope[owner]):
                 if (owner, owner) in m.intra and a not in m.intra[(owner, owner)].factual:
                     out.append(Violation("knowledge", f"{knower} holds {a} factual but its owner {owner} does not"))
                 if (knower, owner) in m.intra and a not in m.intra[(knower, owner)].factual:
@@ -214,7 +216,6 @@ VIEWS: dict[tuple[str, int], Callable[..., ArgumentationFrame]] = {
     ("trust-adjusted", 1): lambda m, e: trust_adjusted_public_model(m, e),
     ("aware", 1): lambda m, e: m.aware[e],
     ("perceived", 2): lambda m, v, s: perceived(m, v, s),
-    ("adjusted", 2): lambda m, v, s: adjusted_perceived(m, v, s),
 }
 
 

@@ -65,11 +65,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
     g_attacks = frozenset(g_pairs)
     global_af = ArgumentationFrame(frozenset(all_args), g_attacks)
 
-    scope = {}
-    for e in agents:
-        fe_args = frozenset(scope_args[e])
-        fe_attacks = frozenset(p for p in g_attacks if p[0] in fe_args and p[1] in fe_args)
-        scope[e] = ArgumentationFrame(fe_args, fe_attacks)
+    scope = {e: frozenset(scope_args[e]) for e in agents}
 
     pub_args = frozenset(a for a in all_args if rng.random() < 0.4)
     pub_attacks = frozenset(
@@ -79,9 +75,9 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
 
     aware = {}
     for e in agents:
-        fa_args = scope[e].args | pub_args | frozenset(a for a in all_args if rng.random() < 0.3)
+        fa_args = scope[e] | pub_args | frozenset(a for a in all_args if rng.random() < 0.3)
         fa_attacks = (
-            scope[e].attacks
+            frozenset(p for p in g_attacks if p[0] in scope[e] and p[1] in scope[e])
             | pub_attacks
             | frozenset(p for p in g_pairs if p[0] in fa_args and p[1] in fa_args and rng.random() < 0.5)
         )
@@ -135,7 +131,7 @@ def random_announcement(
     """A random event valid for ``m``; None if no attempt succeeded."""
     pool = m.global_af.args
     if avoid_scope is not None:
-        pool = pool - m.scope[avoid_scope].args
+        pool = pool - m.scope[avoid_scope]
     pool = sorted(pool)
     if not pool:
         return None

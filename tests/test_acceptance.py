@@ -10,7 +10,7 @@ import time
 
 from mmarg.cli import EX_OK, main
 from mmarg.dynamics import AnnouncementEvent, Verdict, announce, check_announcement, detect, restrict_extensions, update
-from mmarg.frames import ArgumentationFrame
+from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
 from mmarg.scenario import fixture_path, run, state_at
 from mmarg.semantics import SemanticsKind, complete_sets, grounded_set, semantics
@@ -58,7 +58,7 @@ def test_criterion_2_detection_verdicts(mafia, mafia_dprime):
     step3 = mafia.script[2]
     assert detect(m_c, "e2", "e1", step3) is Verdict.DISHONEST
     _, _, m_d = announce(m_c, step3)
-    checked = step3.args & m_d.scope["e1"].args
+    checked = step3.args & m_d.scope["e1"]
     assert checked == {"a2", "a3"}
     src = restrict_extensions(trust_neutral_public_semantics(m_d, "e2", "e1"), checked)
     tgt = restrict_extensions(trust_neutral_local_semantics(m_d, "e2", "e1"), checked)
@@ -147,9 +147,9 @@ def _prop1(m) -> bool:
     for e in sorted(m.agents):
         fe, fa = m.scope[e], m.aware[e]
         lhs = frozenset(
-            (s, t) for s, t in fa.attacks | m.global_af.attacks if s in fe.args and t in fe.args
+            (s, t) for s, t in fa.attacks | m.global_af.attacks if s in fe and t in fe
         )
-        if lhs != fe.attacks:
+        if lhs != restrict(m.global_af, fe).attacks:
             return False
     return True
 
@@ -206,18 +206,20 @@ def test_criterion_6_theorem_suites(mafia, mafia_dprime, mafia_trusts_e1, mafia_
 def _independent_trust_deltas(sc):
     """Pairwise-detection replay built on the brute-force oracle.
 
-    Keeps its own copies of the public record and per-viewer awareness,
-    advances them by hand, and derives each verdict from oracle semantics
-    and plain set arithmetic.  Shares no detection or announcement code
-    with the package's dynamics.
+    Keeps its own copies of the global attacks, the public record and
+    per-viewer awareness, advances them by hand, and derives each verdict
+    from oracle semantics and plain set arithmetic.  A scope's attacks are
+    the global attacks between two of its arguments, starting from the
+    document's and growing with every announced attack.  Shares no
+    detection, announcement or frame-combining code with the package.
     """
     agents = sorted(sc.initial.agents)
     pub_args = set(sc.initial.public_af.args)
     pub_atts = set(sc.initial.public_af.attacks)
     fa_args = {e: set(sc.initial.aware[e].args) for e in agents}
     fa_atts = {e: set(sc.initial.aware[e].attacks) for e in agents}
-    scope_args = {e: set(sc.initial.scope[e].args) for e in agents}
-    scope_atts = {e: set(sc.initial.scope[e].attacks) for e in agents}
+    glob_atts = set(sc.initial.global_af.attacks)
+    scope_args = {e: set(sc.initial.scope[e]) for e in agents}
     factual = {pair: set(p.factual) for pair, p in sc.initial.intra.items()}
     kinds = sc.initial.sem_model
 
@@ -232,6 +234,7 @@ def _independent_trust_deltas(sc):
     per_step = []
     for event in sc.script:
         p_args, p_atts = set(event.args), set(event.attacks)
+        glob_atts |= p_atts  # verdicts read the announced state
         pub2_args, pub2_atts = close(pub_args | p_args, pub_atts | p_atts)
         fa2 = {e: close(fa_args[e] | p_args, fa_atts[e] | p_atts) for e in agents}
         deltas = {}
@@ -246,7 +249,7 @@ def _independent_trust_deltas(sc):
                 facts = factual[(v, s)]
                 va, vt = fa2[v]
                 shared_args = va & scope_args[s]
-                shared_atts = {p for p in vt & scope_atts[s] if p[0] in shared_args and p[1] in shared_args}
+                shared_atts = {p for p in vt & glob_atts if p[0] in shared_args and p[1] in shared_args}
                 om_args, om_atts = close(pub2_args | shared_args, pub2_atts | shared_atts)
                 kind = kinds[(v, s)]
                 src_sem = oracle_semantics(kind, ArgumentationFrame(frozenset(pub2_args), frozenset(adjusted(pub2_atts, facts))))

@@ -189,7 +189,7 @@ def test_export_public_view(capsys):
 
 def test_export_adjusted_view_to_file(tmp_path):
     out = tmp_path / "e2.dot"
-    assert main(["export", FIXTURE, "--at", "4", "--view", "adjusted:e2:e2", "--out", str(out)]) == EX_OK
+    assert main(["export", FIXTURE, "--at", "4", "--view", "local:e2:e2", "--out", str(out)]) == EX_OK
     dot = out.read_text()
     assert '"a4" -> "a3"' in dot and '"a3" -> "a4"' not in dot
 

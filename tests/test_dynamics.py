@@ -20,11 +20,8 @@ from mmarg.dynamics import (
 )
 from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
-from mmarg.preferences import IntraPreference
 from mmarg.scenario import bundled_scenarios, run, state_at
-from mmarg.semantics import SemanticsKind
 from mmarg.state import (
-    MmaState,
     adjusted_perceived,
     perceived,
     perceived_lower_bound,
@@ -123,7 +120,7 @@ def test_fabricated_attack_inside_one_scope_joins_that_scope(mafia):
     event = ev(["a4"], [("a4", "a5")], announcers=("e1",))
     assert check_announcement(m, event) == []
     m2 = update(m, event, mafia.policy)
-    assert ("a4", "a5") in m2.scope["e2"].attacks
+    assert ("a4", "a5") in restrict(m2.global_af, m2.scope["e2"]).attacks
     assert validate(m2) == []
 
 
@@ -176,62 +173,6 @@ def test_accepted_announcements_leave_valid_states():
             assert _grown_by_plain_union(m0, event, m)
             accepted += 1
     assert accepted > 300
-
-
-def _scopes_after(m, event):
-    """Announce, check each scope against the new global frame, and count the scopes rebuilt."""
-    _, _, after = announce(m, event)
-    fresh = after.global_af.attacks - m.global_af.attacks
-    rebuilt = 0
-    for e, before in m.scope.items():
-        assert after.scope[e] == restrict(after.global_af, before.args)
-        if any(s in before.args and t in before.args for s, t in fresh):
-            rebuilt += 1
-        else:
-            assert after.scope[e] is before
-    return after, rebuilt
-
-
-def test_announce_rebuilds_only_scopes_a_new_global_attack_lands_in():
-    for name in bundled_scenarios():
-        sc = load_bundled(name)
-        m = sc.initial
-        for event in sc.script:
-            _scopes_after(m, event)
-            m = update(m, event, sc.policy)
-    rng = random.Random(8)
-    rebuilt = kept = 0
-    for _ in range(150):
-        m = random_state(rng, max_scope=3)
-        for _ in range(rng.randint(1, 3)):
-            event = random_announcement(rng, m)
-            if event is None:
-                break
-            m, n = _scopes_after(m, event)
-            rebuilt += n
-            kept += len(m.agents) - n
-    assert rebuilt > 10 and kept > 100
-
-
-def test_fabricated_attack_inside_a_two_argument_scope_rebuilds_that_scope_alone():
-    agents = ["e1", "e2"]
-    pairs = [(v, s) for v in agents for s in agents]
-    m = MmaState(
-        global_af=ArgumentationFrame.of(["x0", "x1", "x2"], [("x2", "x0")]),
-        public_af=ArgumentationFrame.of(["x2"]),
-        agents=frozenset(agents),
-        scope={"e1": ArgumentationFrame.of(["x0", "x1"]), "e2": ArgumentationFrame.of(["x2"])},
-        aware={"e1": ArgumentationFrame.of(["x0", "x1", "x2"], [("x2", "x0")]), "e2": ArgumentationFrame.of(["x2"])},
-        sem_model={pair: SemanticsKind.GROUNDED for pair in pairs},
-        intra={pair: IntraPreference.of([]) for pair in pairs},
-        trust={pair: 0 for pair in pairs},
-    )
-    assert validate(m) == []
-    after, rebuilt = _scopes_after(m, ev(["x0", "x1"], [("x0", "x1")]))
-    assert rebuilt == 1
-    assert after.scope["e1"] == ArgumentationFrame.of(["x0", "x1"], [("x0", "x1")])
-    assert after.scope["e2"] is m.scope["e2"]
-    assert validate(after) == []
 
 
 def test_restrict_extensions_examples():
@@ -321,7 +262,7 @@ def test_scopes_untouched_by_announcements_avoiding_them():
         event = random_announcement(rng, m, avoid_scope=chosen)
         if event is None:
             continue
-        assert not event.args & m.scope[chosen].args
+        assert not event.args & m.scope[chosen]
         _, _, m2 = announce(m, event)
         assert m2.scope[chosen] == m.scope[chosen]
         done += 1
@@ -341,7 +282,7 @@ def test_honest_and_dishonest_conditions_are_mutually_exclusive():
             continue
         m2, matrix, _ = step(m, event, TrustPolicy())
         for (v, s), verdict in matrix.items():
-            checked = event.args & m2.scope[s].args
+            checked = event.args & m2.scope[s]
             if not checked:
                 assert verdict is Verdict.UNDETERMINED
                 continue
@@ -384,8 +325,8 @@ def solver_calls(monkeypatch):
 
 @pytest.fixture
 def perceived_calls(monkeypatch):
-    """Every (state, viewer, subject) a local frame is built for, in order."""
-    return _record_calls(monkeypatch, adjusted_perceived)
+    """Every (state, viewer, subject) a viewer's model of a subject is built for, in order."""
+    return _record_calls(monkeypatch, perceived)
 
 
 def _solved_pairs(m2, event):
@@ -397,7 +338,7 @@ def _solved_pairs(m2, event):
         (v, s)
         for v in m2.agents
         for s in m2.agents
-        if v != s and event.args & m2.scope[s].args and perceived(m2, v, s) != m2.public_af
+        if v != s and event.args & m2.scope[s] and perceived(m2, v, s) != m2.public_af
     }
 
 
@@ -441,17 +382,20 @@ def test_step_solves_each_distinct_kind_and_frame_once(solver_calls):
 
 
 def test_step_judges_only_subjects_whose_scope_the_payload_meets(perceived_calls):
+    # Each touched pair builds the viewer's model of the subject once, for
+    # the shortcut's test and, when the pair solves, for its local frame;
+    # an untouched pair builds nothing.
     cases = _step_cases()
     untouched = shortcut = solved = 0
     for m, event, policy in cases:
         perceived_calls.clear()
         m2, verdicts, _ = step(m, event, policy)
+        built = sorted((v, s) for _, v, s in perceived_calls)
         touched = {
-            (v, s) for v, s in verdicts if event.args & m2.scope[s].args
+            (v, s) for v, s in verdicts if event.args & m2.scope[s]
         }
+        assert built == sorted(touched)
         local = _solved_pairs(m2, event)
-        built = [(v, s) for _, v, s in perceived_calls]
-        assert sorted(built) == sorted(local)
         shortcut += len(touched - local)
         solved += len(local)
         for pair, verdict in verdicts.items():
@@ -484,7 +428,7 @@ def test_run_solves_each_step_once_and_keeps_nothing_between_calls(solver_calls)
 
 def reference_verdict(m2, viewer, subject, event, solve):
     """The verdict with both frames always built and solved through ``solve``."""
-    checked = event.args & m2.scope[subject].args
+    checked = event.args & m2.scope[subject]
     if not checked:
         return Verdict.UNDETERMINED
     kind = m2.sem_model[(viewer, subject)]
@@ -555,7 +499,7 @@ def test_step_verdicts_equal_the_always_solving_reference(monkeypatch, solver):
         for (v, s), verdict in verdicts.items():
             assert verdict is reference_verdict(m2, v, s, event, solve), (v, s, event)
             local = perceived(m2, v, s)
-            by_value += bool(event.args & m2.scope[s].args) and local == m2.public_af and local is not m2.public_af
+            by_value += bool(event.args & m2.scope[s]) and local == m2.public_af and local is not m2.public_af
             dishonest += verdict is Verdict.DISHONEST
     # The shortcut's comparison runs on equal but distinct frames, and
     # private awareness yields deception verdicts.

@@ -26,7 +26,7 @@ def fingerprint(seed: int, count: int = 40) -> str:
         out.append({
             "global": _frame(m.global_af),
             "public": _frame(m.public_af),
-            "scope": {e: _frame(f) for e, f in sorted(m.scope.items())},
+            "scope": {e: sorted(args) for e, args in sorted(m.scope.items())},
             "aware": {e: _frame(f) for e, f in sorted(m.aware.items())},
             "sem_model": sorted([v, s, k.value] for (v, s), k in m.sem_model.items()),
             "intra": sorted([v, s, sorted(p.factual)] for (v, s), p in m.intra.items()),

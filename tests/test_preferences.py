@@ -142,7 +142,7 @@ def test_derived_leq_pairs_are_public_mutual_conflicts():
             inter = derive_inter(m, e)
             found += len(inter.strict)
             assert isinstance(inter, InterPreference)
-            owner = {a: o for o in m.agents for a in m.scope[o].args}
+            owner = {a: o for o in m.agents for a in m.scope[o]}
             for a1, a2 in inter.strict:
                 assert (a1, a2) in m.public_af.attacks and (a2, a1) in m.public_af.attacks
                 assert m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]
@@ -158,7 +158,7 @@ def reference_derive_inter(m, e):
         raise ValueError(f"unknown agent: {e!r}")
     owner: dict[str, str] = {}
     for agent in m.agents:
-        for a in m.scope[agent].args:
+        for a in m.scope[agent]:
             owner[a] = agent
     aware_args = m.aware[e].args
     factual = m.intra[(e, e)].factual

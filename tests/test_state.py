@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from mmarg.frames import ArgumentationFrame, combine, UNION
+from mmarg.frames import ArgumentationFrame, combine, restrict
 from mmarg.preferences import IntraPreference
 from mmarg.export import export_graph, to_dot
-from mmarg.scenario import query, state_at
+from mmarg.scenario import bundled_scenarios, query, state_at
 from mmarg.semantics import SemanticsKind, semantics, sorted_extensions
 from mmarg.state import (
     VIEWS,
@@ -22,7 +22,7 @@ from mmarg.state import (
     view,
 )
 
-from conftest import random_state
+from conftest import load_bundled, random_state
 
 
 def f(args, attacks=()):
@@ -35,7 +35,7 @@ def conditions(violations):
 
 def two_agent_state(**overrides) -> MmaState:
     global_af = f(["a1", "a2", "b1"], [("a1", "b1"), ("b1", "a1")])
-    scope = {"e1": f(["a1", "a2"]), "e2": f(["b1"])}
+    scope = {"e1": frozenset({"a1", "a2"}), "e2": frozenset({"b1"})}
     aware = {
         "e1": f(["a1", "a2", "b1"], [("a1", "b1"), ("b1", "a1")]),
         "e2": f(["a1", "b1"], [("a1", "b1"), ("b1", "a1")]),
@@ -69,7 +69,7 @@ def test_trust_entries_must_be_integers(value):
 
 
 def test_overlapping_scopes_flagged():
-    m = two_agent_state(scope={"e1": f(["a1", "a2"]), "e2": f(["a1"])},
+    m = two_agent_state(scope={"e1": frozenset({"a1", "a2"}), "e2": frozenset({"a1"})},
                         global_af=f(["a1", "a2", "b1"], []),
                         public_af=f([]),
                         aware={"e1": f(["a1", "a2"]), "e2": f(["a1"])})
@@ -77,9 +77,10 @@ def test_overlapping_scopes_flagged():
 
 
 def test_scope_attacks_must_match_global_restriction():
-    # The global mutual conflict between a1 and a2 is missing from e1's scope frame.
+    # e1's scope attacks are the global ones between its arguments, here the
+    # mutual conflict between a1 and a2; e1's awareness misses them.
     m = two_agent_state(global_af=f(["a1", "a2", "b1"], [("a1", "a2"), ("a2", "a1"), ("a1", "b1"), ("b1", "a1")]))
-    assert "local scopes" in conditions(validate(m))
+    assert conditions(validate(m)) == {"local agent argumentation"}
 
 
 def test_awareness_must_subsume_scope():
@@ -100,7 +101,7 @@ def test_awareness_must_subsume_public():
 
 def test_empty_scope_flagged():
     m = two_agent_state()
-    m = replace(m, scope=dict(m.scope, e2=f([])), public_af=f([]),
+    m = replace(m, scope=dict(m.scope, e2=frozenset()), public_af=f([]),
                 global_af=f(["a1", "a2", "b1"], []),
                 aware={"e1": f(["a1", "a2"]), "e2": f(["b1"])})
     assert "structure" in conditions(validate(m))
@@ -150,12 +151,33 @@ def test_perceived_with_no_shared_scope_is_public(mafia):
     m = state_at(mafia, 2)
     # e3's scope is invisible to e1 beyond the public record at this point.
     lower = perceived_lower_bound(m, "e1", "e3")
-    assert lower.args == m.public_af.args | (m.aware["e1"].args & m.scope["e3"].args)
+    assert lower.args == m.public_af.args | (m.aware["e1"].args & m.scope["e3"])
+
+
+def test_perceived_lower_bound_is_its_definition():
+    # The definition: the public record joined with the viewer's awareness
+    # restricted to the subject's scope.  The public record itself comes
+    # back exactly when that join adds nothing.
+    states = [state_at(sc, k) for sc in map(load_bundled, bundled_scenarios()) for k in range(len(sc.script) + 1)]
+    rng = random.Random(2019)
+    states += [random_state(rng, n_agents=rng.choice([2, 3, 4]), density=rng.choice([0.25, 0.5])) for _ in range(240)]
+    public = joined = private_attack = 0
+    for m in states:
+        for v, s in itertools.product(sorted(m.agents), repeat=2):
+            got = perceived_lower_bound(m, v, s)
+            want = combine(m.public_af, restrict(m.aware[v], m.scope[s]))
+            assert got == want, (v, s)
+            assert (got is m.public_af) == (want == m.public_af)
+            public += got is m.public_af
+            joined += got is not m.public_af
+            # Every argument seen is public, but a private attack joins two of them.
+            private_attack += m.aware[v].args & m.scope[s] <= m.public_af.args and want != m.public_af
+    assert public > 500 and joined > 500 and private_attack > 50
 
 
 def test_override_is_honoured_within_bounds():
     m = two_agent_state()
-    om = combine(perceived_lower_bound(m, "e1", "e2"), f(["a2"]), UNION)
+    om = combine(perceived_lower_bound(m, "e1", "e2"), f(["a2"]))
     m2 = replace(m, overrides={("e1", "e2"): om})
     assert validate(m2) == []
     assert perceived(m2, "e1", "e2") == om
@@ -241,9 +263,9 @@ def prop1_holds(m) -> bool:
         lhs = frozenset(
             (s, t)
             for s, t in fa.attacks | m.global_af.attacks
-            if s in fe.args and t in fe.args
+            if s in fe and t in fe
         )
-        if lhs != fe.attacks:
+        if lhs != restrict(m.global_af, fe).attacks:
             return False
     return True
 
