@@ -41,8 +41,8 @@ def main(argv: list[str]) -> int:
         print(f"\nhalted at step {trace.error_step}: {'; '.join(trace.error)}")
         return 2
     final = trace.final
-    print(f"\nfinal public record: {final.public_af.sorted_args()}")
-    for s, t in final.public_af.sorted_attacks():
+    print(f"\nfinal public record: {sorted(final.public_af.args)}")
+    for s, t in sorted(final.public_af.attacks):
         print(f"  {s} -> {t}")
     print(f"final trust: { {p: v for p, v in sorted(final.trust.items()) if v} }")
     return 0

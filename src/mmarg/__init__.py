@@ -18,11 +18,8 @@ from .semantics import (
     ExtensionSet,
     SemanticsKind,
     acceptance,
-    complete_sets,
     defends,
-    grounded_set,
     is_conflict_free,
-    preferred_sets,
     semantics,
     sorted_extensions,
 )
@@ -41,9 +38,6 @@ from .state import (
     perceived,
     public_model,
     trust_adjusted_public_model,
-    trust_adjusted_public_semantics,
-    trust_neutral_local_semantics,
-    trust_neutral_public_semantics,
     validate,
     view,
 )

@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--at", type=int, default=0)
     p.add_argument("--view", required=True, help=" | ".join(name + ("", ":E", ":V:S")[n] for name, n in VIEWS))
-    p.add_argument("--format", default="graph", choices=["graph"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_export)
 

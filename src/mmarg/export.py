@@ -33,7 +33,7 @@ def to_dot(m: MmaState, frame: ArgumentationFrame, labels: dict[str, str] | None
         lines.append("  }")
     for a in sorted(frame.args - grouped):
         lines.append("  " + _node_line(a, labels.get(a, ""), a in m.public_af.args))
-    for s, t in frame.sorted_attacks():
+    for s, t in sorted(frame.attacks):
         lines.append(f"  {_quote(s)} -> {_quote(t)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

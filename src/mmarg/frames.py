@@ -47,12 +47,6 @@ class ArgumentationFrame:
         """Sub-frame test: ``other``'s arguments and attacks are all here."""
         return other.args <= self.args and other.attacks <= self.attacks
 
-    def sorted_args(self) -> list[str]:
-        return sorted(self.args)
-
-    def sorted_attacks(self) -> list[Attack]:
-        return sorted(self.attacks)
-
 
 EMPTY_FRAME = ArgumentationFrame(frozenset(), frozenset())
 

@@ -140,16 +140,18 @@ def parse_scenario(doc: Any) -> Scenario:
     _expect(isinstance(doc, dict), "scenario document must be a JSON object")
     for key in ("arguments", "global_attacks", "scopes", "awareness", "gsem", "factual", "trust", "script"):
         _expect(key in doc, f"missing top-level key {key!r}")
+    _expect(isinstance(doc.get("notes", ""), str), "notes must be a string")
 
     decls: list[ArgumentDecl] = []
     seen: set[str] = set()
     _expect(isinstance(doc["arguments"], list), "arguments must be a list of declarations")
     for raw in doc["arguments"]:
-        _expect(isinstance(raw, dict) and isinstance(raw.get("id"), str) and isinstance(raw.get("owner"), str),
-                f"bad argument declaration {raw!r}")
+        _expect(isinstance(raw, dict) and isinstance(raw.get("id"), str) and isinstance(raw.get("owner"), str)
+                and isinstance(raw.get("label", ""), str), f"bad argument declaration {raw!r}")
+        _expect(raw["id"] != "", "arguments: argument ids must be nonempty strings, got ''")
         _expect(raw["id"] not in seen, f"duplicate argument id {raw['id']!r}")
         seen.add(raw["id"])
-        decls.append(ArgumentDecl(raw["id"], raw["owner"], str(raw.get("label", ""))))
+        decls.append(ArgumentDecl(raw["id"], raw["owner"], raw.get("label", "")))
     arg_ids = frozenset(seen)
 
     scopes_raw = doc["scopes"]
@@ -256,7 +258,7 @@ def parse_scenario(doc: Any) -> Scenario:
     except ValueError as exc:
         raise ScenarioParseError(f"bad policy: {exc}") from exc
 
-    return Scenario(tuple(decls), initial, tuple(script), policy, str(doc.get("notes", "")))
+    return Scenario(tuple(decls), initial, tuple(script), policy, doc.get("notes", ""))
 
 
 def load_scenario(source: str | bytes | IO) -> Scenario:
@@ -305,7 +307,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
     doc: dict[str, Any] = {
         "notes": sc.notes,
         "arguments": [{"id": d.id, "owner": d.owner, "label": d.label} for d in sorted(sc.arguments, key=lambda d: d.id)],
-        "global_attacks": [list(p) for p in m.global_af.sorted_attacks()],
+        "global_attacks": [list(p) for p in sorted(m.global_af.attacks)],
         "scopes": {e: sorted(m.scope[e]) for e in agents},
         "awareness": {e: _frame_doc(m.aware[e]) for e in agents},
         "public": _frame_doc(m.public_af),
@@ -333,10 +335,9 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
 
     Replay halts at the first invalid event with the violations as the
     trace's diagnostic; the steps before it stay recorded.  With
-    ``with_semantics`` each step also records every agent's
-    :func:`~mmarg.state.trust_adjusted_public_semantics` on the revised
-    state, solved through the step's own memo, so a (kind, frame) the
-    verdicts already solved is not solved again; no memo outlives its step.
+    ``with_semantics`` each step also records every agent's ``trust-adjusted``
+    :func:`query` on the revised state, solved through the step's own memo, so a
+    (kind, frame) the verdicts already solved is not solved again; no memo outlives its step.
     """
     m = sc.initial
     steps: list[TraceStep] = []
@@ -474,8 +475,8 @@ def dumps_trace(trace: Trace) -> str:
     error = "null" if trace.error_step is None else _block(
         "{}", [f'"step": {trace.error_step!r}', '"violations": ' + w.strs(trace.error, n2)], n1)
     final = _block("{}", [
-        '"global": ' + w.frame(f.global_af.sorted_args(), f.global_af.sorted_attacks(), n2),
-        '"public": ' + w.frame(f.public_af.sorted_args(), f.public_af.sorted_attacks(), n2),
+        '"global": ' + w.frame(sorted(f.global_af.args), sorted(f.global_af.attacks), n2),
+        '"public": ' + w.frame(sorted(f.public_af.args), sorted(f.public_af.attacks), n2),
         '"trust": ' + w.matrix(f.trust, n2),
     ], n1)
     steps = _block("[]", [w.step(st, n2) for st in trace.steps], n1)

@@ -162,34 +162,17 @@ def _attacked_by(in_m: int, targets: list[int]) -> int:
     return attacked
 
 
-def complete_sets(f: ArgumentationFrame) -> ExtensionSet:
-    """All complete extensions of ``f``."""
-    order, attackers, targets = _index(f)
-    return _masks_to_extensions(_complete_masks(len(order), attackers, targets), order)
-
-
-def preferred_sets(f: ArgumentationFrame) -> ExtensionSet:
-    """All maximal complete extensions of ``f``."""
-    order, attackers, targets = _index(f)
-    masks = _complete_masks(len(order), attackers, targets)
-    maximal = [m for m in masks if not any(m != m2 and m | m2 == m2 for m2 in masks)]
-    return _masks_to_extensions(maximal, order)
-
-
-def grounded_set(f: ArgumentationFrame) -> ExtensionSet:
-    """The unique grounded extension of ``f``, wrapped as a one-member set."""
-    order, attackers, targets = _index(f)
-    m = _grounded_mask(len(order), attackers, targets)
-    return _masks_to_extensions([m], order)
-
-
 def semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
+    """The complete, preferred (maximal complete) or grounded extensions of ``f``, the grounded one
+    wrapped as a one-member set.  This is the only way into the search."""
     kind = SemanticsKind(kind)
-    if kind is SemanticsKind.COMPLETE:
-        return complete_sets(f)
+    order, attackers, targets = _index(f)
+    if kind is SemanticsKind.GROUNDED:
+        return _masks_to_extensions([_grounded_mask(len(order), attackers, targets)], order)
+    masks = _complete_masks(len(order), attackers, targets)
     if kind is SemanticsKind.PREFERRED:
-        return preferred_sets(f)
-    return grounded_set(f)
+        masks = [m for m in masks if not any(m != m2 and m | m2 == m2 for m2 in masks)]
+    return _masks_to_extensions(masks, order)
 
 
 def acceptance(a: str, kind: SemanticsKind, f: ArgumentationFrame, mode: str = CREDULOUS) -> bool:

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 from .frames import ArgumentationFrame, combine, restrict
 from .preferences import IntraPreference, adjust, derive_inter
-from .semantics import ExtensionSet, SemanticsKind, semantics
+from .semantics import SemanticsKind
 
 Pair = tuple[str, str]
 
@@ -188,21 +188,6 @@ def public_model(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
 def trust_adjusted_public_model(m: MmaState, e: str) -> ArgumentationFrame:
     """The agent's own public model with its trust order applied on top."""
     return adjust(public_model(m, e, e), derive_inter(m, e))
-
-
-def trust_neutral_public_semantics(m: MmaState, viewer: str, subject: str) -> ExtensionSet:
-    """What the viewer takes the subject to be claiming publicly."""
-    return semantics(m.sem_model[(viewer, subject)], public_model(m, viewer, subject))
-
-
-def trust_neutral_local_semantics(m: MmaState, viewer: str, subject: str) -> ExtensionSet:
-    """What the viewer takes the subject to actually conclude locally."""
-    return semantics(m.sem_model[(viewer, subject)], adjusted_perceived(m, viewer, subject))
-
-
-def trust_adjusted_public_semantics(m: MmaState, e: str) -> ExtensionSet:
-    """The agent's public acceptance once trust breaks residual conflicts."""
-    return semantics(m.sem_model[(e, e)], trust_adjusted_public_model(m, e))
 
 
 # Every named view of a state, keyed by (name, number of agents it takes).

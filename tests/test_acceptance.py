@@ -12,15 +12,9 @@ from mmarg.cli import EX_OK, main
 from mmarg.dynamics import AnnouncementEvent, Verdict, announce, check_announcement, detect, restrict_extensions, update
 from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
-from mmarg.scenario import fixture_path, run, state_at
-from mmarg.semantics import SemanticsKind, complete_sets, grounded_set, semantics
-from mmarg.state import (
-    adjusted_perceived,
-    trust_adjusted_public_semantics,
-    trust_neutral_local_semantics,
-    trust_neutral_public_semantics,
-    validate,
-)
+from mmarg.scenario import fixture_path, query, run, state_at
+from mmarg.semantics import SemanticsKind, semantics
+from mmarg.state import adjusted_perceived, validate
 
 from conftest import random_announcement, random_state
 
@@ -37,16 +31,16 @@ def test_criterion_1_worked_example_reproduction(mafia, mafia_trusts_e1, mafia_t
     t0 = time.perf_counter()
 
     m_d = state_at(mafia, 3)
-    assert trust_neutral_public_semantics(m_d, "e2", "e1") == ext({"a2", "a3", "a9"})
-    assert trust_neutral_local_semantics(m_d, "e2", "e1") == ext({"a1", "a4", "a5"})
+    assert query(m_d, "e2", "e1", "public") == ext({"a2", "a3", "a9"})
+    assert query(m_d, "e2", "e1", "local") == ext({"a1", "a4", "a5"})
 
     m_e = state_at(mafia_trusts_e2, 4)
     assert m_e.trust[("e3", "e1")] < m_e.trust[("e3", "e2")]
-    assert trust_adjusted_public_semantics(m_e, "e3") == ext({"a4", "a5"})
+    assert query(m_e, "e3", None, "trust-adjusted") == ext({"a4", "a5"})
 
     m_e = state_at(mafia_trusts_e1, 4)
     assert m_e.trust[("e3", "e2")] < m_e.trust[("e3", "e1")]
-    assert trust_adjusted_public_semantics(m_e, "e3") == ext({"a2", "a3", "a9"})
+    assert query(m_e, "e3", None, "trust-adjusted") == ext({"a2", "a3", "a9"})
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"worked-example reproduction took {elapsed:.2f}s"
@@ -60,8 +54,8 @@ def test_criterion_2_detection_verdicts(mafia, mafia_dprime):
     _, _, m_d = announce(m_c, step3)
     checked = step3.args & m_d.scope["e1"]
     assert checked == {"a2", "a3"}
-    src = restrict_extensions(trust_neutral_public_semantics(m_d, "e2", "e1"), checked)
-    tgt = restrict_extensions(trust_neutral_local_semantics(m_d, "e2", "e1"), checked)
+    src = restrict_extensions(query(m_d, "e2", "e1", "public"), checked)
+    tgt = restrict_extensions(query(m_d, "e2", "e1", "local"), checked)
     assert src == ext({"a2", "a3"})
     assert tgt == ext(set())
 
@@ -194,9 +188,9 @@ def test_criterion_6_theorem_suites(mafia, mafia_dprime, mafia_trusts_e1, mafia_
 
     # Grounded uniqueness and grounded = intersection of complete, everywhere.
     for frame in frames_tested:
-        grounded = grounded_set(frame)
+        grounded = semantics(SemanticsKind.GROUNDED, frame)
         assert len(grounded) == 1
-        complete = complete_sets(frame)
+        complete = semantics(SemanticsKind.COMPLETE, frame)
         assert next(iter(grounded)) == frozenset.intersection(*complete)
 
     _report(6, f"scope faithfulness, scope preservation on {pairs} random announcements, "

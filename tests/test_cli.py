@@ -54,11 +54,17 @@ MALFORMED = {
     "fractional policy step": lambda doc: doc.update(policy={"honest": 1.5}),
     "script attack touching none of its args": lambda doc: doc["script"][1].update(attacks=[["y", "z"]]),
     "empty script argument id": lambda doc: doc["script"][1]["args"].append(""),
+    "empty declared argument id": lambda doc: doc["arguments"].append({"id": "", "owner": "e1"}),
+    "null argument label": lambda doc: doc["arguments"][0].update(label=None),
+    "integer notes": lambda doc: doc.update(notes=7),
 }
 # The whole stderr of the cases whose message is pinned.
 MALFORMED_STDERR = {
     "script attack touching none of its args": "parse error: script step 2: attack (y,z) touches no argument of the frame\n",
     "empty script argument id": "parse error: script step 2: argument ids must be nonempty strings, got ''\n",
+    "empty declared argument id": "parse error: arguments: argument ids must be nonempty strings, got ''\n",
+    "null argument label": "parse error: bad argument declaration {'id': 'a1', 'label': None, 'owner': 'e1'}\n",
+    "integer notes": "parse error: notes must be a string\n",
 }
 
 
@@ -179,7 +185,7 @@ def test_query_one_agent_view_rejects_a_subject(view, capsys):
 
 
 def test_export_public_view(capsys):
-    assert main(["export", FIXTURE, "--at", "4", "--view", "public", "--format", "graph"]) == EX_OK
+    assert main(["export", FIXTURE, "--at", "4", "--view", "public"]) == EX_OK
     dot = capsys.readouterr().out
     assert dot.startswith("digraph")
     assert dot.count("style=filled") == 5

@@ -20,7 +20,7 @@ from mmarg.dynamics import (
 )
 from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
-from mmarg.scenario import bundled_scenarios, run, state_at
+from mmarg.scenario import bundled_scenarios, query, run, state_at
 from mmarg.state import (
     adjusted_perceived,
     perceived,
@@ -271,8 +271,6 @@ def test_scopes_untouched_by_announcements_avoiding_them():
 def test_honest_and_dishonest_conditions_are_mutually_exclusive():
     # Restricted semantics are nonempty collections of sets, so the two
     # clauses (disjointness, equality over facts) can never hold at once.
-    from mmarg.state import trust_neutral_local_semantics, trust_neutral_public_semantics
-
     rng = random.Random(2020)
     done = 0
     while done < 30:
@@ -286,8 +284,8 @@ def test_honest_and_dishonest_conditions_are_mutually_exclusive():
             if not checked:
                 assert verdict is Verdict.UNDETERMINED
                 continue
-            src = restrict_extensions(trust_neutral_public_semantics(m2, v, s), checked)
-            tgt = restrict_extensions(trust_neutral_local_semantics(m2, v, s), checked)
+            src = restrict_extensions(query(m2, v, s, "public"), checked)
+            tgt = restrict_extensions(query(m2, v, s, "local"), checked)
             assert src and tgt
             assert not (src == tgt and not src & tgt)
             if verdict is Verdict.DISHONEST:

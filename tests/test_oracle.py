@@ -18,7 +18,7 @@ def test_oracle_on_single_attack():
     assert oracle_semantics(SemanticsKind.GROUNDED, frame) == ext({"a1"})
 
 
-def test_oracle_grounded_is_intersection_of_its_complete_sets():
+def test_oracle_grounded_is_intersection_of_its_complete_extensions():
     rng = random.Random(7)
     for _ in range(25):
         frame = random_frame(rng, rng.randint(1, 7), 0.3)

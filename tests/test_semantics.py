@@ -10,11 +10,8 @@ from mmarg.semantics import (
     SKEPTICAL,
     SemanticsKind,
     acceptance,
-    complete_sets,
     defends,
-    grounded_set,
     is_conflict_free,
-    preferred_sets,
     semantics,
     sorted_extensions,
 )
@@ -62,47 +59,48 @@ def test_defends_unattacked_argument_vacuously():
 
 
 def test_complete_single_attack():
-    assert complete_sets(SINGLE_ATTACK) == ext({"a1"})
+    assert semantics(SemanticsKind.COMPLETE, SINGLE_ATTACK) == ext({"a1"})
 
 
 def test_complete_mutual_attack():
-    assert complete_sets(MUTUAL) == ext(set(), {"a1"}, {"a2"})
+    assert semantics(SemanticsKind.COMPLETE, MUTUAL) == ext(set(), {"a1"}, {"a2"})
 
 
 def test_complete_empty_frame():
-    assert complete_sets(EMPTY) == ext(set())
+    assert semantics(SemanticsKind.COMPLETE, EMPTY) == ext(set())
 
 
 def test_preferred_mutual_attack():
-    assert preferred_sets(MUTUAL) == ext({"a1"}, {"a2"})
+    assert semantics(SemanticsKind.PREFERRED, MUTUAL) == ext({"a1"}, {"a2"})
 
 
 def test_preferred_empty_frame():
-    assert preferred_sets(EMPTY) == ext(set())
+    assert semantics(SemanticsKind.PREFERRED, EMPTY) == ext(set())
 
 
 def test_grounded_single_attack():
-    assert grounded_set(SINGLE_ATTACK) == ext({"a1"})
+    assert semantics(SemanticsKind.GROUNDED, SINGLE_ATTACK) == ext({"a1"})
 
 
 def test_grounded_mutual_attack_is_empty_set():
-    assert grounded_set(MUTUAL) == ext(set())
+    assert semantics(SemanticsKind.GROUNDED, MUTUAL) == ext(set())
 
 
 def test_grounded_chain():
-    assert grounded_set(CHAIN) == ext({"a1", "a3"})
+    assert semantics(SemanticsKind.GROUNDED, CHAIN) == ext({"a1", "a3"})
 
 
 def test_self_attacker_never_accepted():
     loop = f(["a1"], [("a1", "a1")])
-    assert complete_sets(loop) == ext(set())
+    assert semantics(SemanticsKind.COMPLETE, loop) == ext(set())
 
 
 def test_semantics_dispatch():
-    assert semantics(SemanticsKind.COMPLETE, SINGLE_ATTACK) == complete_sets(SINGLE_ATTACK)
-    assert semantics(SemanticsKind.PREFERRED, MUTUAL) == preferred_sets(MUTUAL)
-    assert semantics(SemanticsKind.GROUNDED, CHAIN) == grounded_set(CHAIN)
-    assert semantics("preferred", MUTUAL) == preferred_sets(MUTUAL)
+    assert semantics("complete", MUTUAL) == ext(set(), {"a1"}, {"a2"})
+    assert semantics("preferred", MUTUAL) == ext({"a1"}, {"a2"})
+    assert semantics("grounded", CHAIN) == ext({"a1", "a3"})
+    with pytest.raises(ValueError):
+        semantics("stable", MUTUAL)
 
 
 def test_acceptance_modes():
@@ -132,9 +130,9 @@ def frames(draw, max_args=6):
 @given(frames())
 @settings(max_examples=150, deadline=None)
 def test_lattice_properties(frame):
-    complete = complete_sets(frame)
-    preferred = preferred_sets(frame)
-    (grounded,) = grounded_set(frame)
+    complete = semantics(SemanticsKind.COMPLETE, frame)
+    preferred = semantics(SemanticsKind.PREFERRED, frame)
+    (grounded,) = semantics(SemanticsKind.GROUNDED, frame)
     assert complete, "every frame has at least one complete extension"
     assert preferred <= complete
     for p in preferred:
@@ -185,7 +183,7 @@ GROUNDED_FAMILIES = {
 
 
 def _decided_by_grounded(frame):
-    (g,) = grounded_set(frame)
+    (g,) = semantics(SemanticsKind.GROUNDED, frame)
     decided = g | {t for s, t in frame.attacks if s in g}
     if decided == frame.args:
         return "all"

@@ -1,0 +1,102 @@
+"""Solver checks past the oracle's reach, stated from the definitions alone.
+
+Dung (AIJ 77, 1995): a complete extension is conflict-free, defends each of
+its members and contains every argument it defends; a preferred extension is
+a maximal complete one; the grounded extension is the least complete one,
+the intersection of them all.  Each of these is checked in polynomial time
+on frames of 14-20 arguments, too large to enumerate subsets of cheaply.
+Exact references for 20 arguments come from disjoint unions of two
+oracle-checked halves, whose extensions are exactly the unions of one
+extension of each half.  Renaming the arguments must rename the extensions.
+
+Only :func:`mmarg.semantics` and :func:`mmarg.oracle_semantics` are called.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from mmarg import ArgumentationFrame, SemanticsKind, oracle_semantics, semantics
+
+
+def random_frame(rng, ids, density, mutual):
+    """Each pair of ids attacks both ways with chance ``mutual``, else one way with chance ``density``;
+    mutual attacks make frames with many extensions."""
+    attacks = [(a, a) for a in ids if rng.random() < 0.05]
+    for a, b in itertools.combinations(ids, 2):
+        r = rng.random()
+        if r < mutual:
+            attacks += [(a, b), (b, a)]
+        elif r < mutual + density:
+            attacks.append((a, b) if rng.random() < 0.5 else (b, a))
+    return ArgumentationFrame.of(ids, attacks)
+
+
+def mixed_ids(rng, n):
+    """``n`` distinct ids of unequal lengths, so sorted order is not numeric order."""
+    return [f"{rng.choice('abxy')}{i}" for i in rng.sample(range(1, 120), n)]
+
+
+def attacked_by(s, f):
+    return {t for a, t in f.attacks if a in s}
+
+
+def defended_by(s, f):
+    """Every argument each of whose attackers some member of ``s`` attacks."""
+    hit = attacked_by(s, f)
+    return {a for a in f.args if all(x in hit for x, t in f.attacks if t == a)}
+
+
+def assert_complete(ext, f):
+    assert ext <= f.args
+    assert not ext & attacked_by(ext, f), f"{sorted(ext)} is not conflict-free"
+    assert defended_by(ext, f) == ext, f"{sorted(ext)} does not defend exactly its members"
+
+
+def assert_certified(f):
+    complete, preferred, grounded = (semantics(kind, f) for kind in SemanticsKind)
+    assert complete
+    for ext in complete:
+        assert_complete(ext, f)
+    maximal = {e for e in complete if not any(e < other for other in complete)}
+    for ext in preferred:
+        assert_complete(ext, f)
+    assert preferred == maximal
+    (g,) = grounded
+    assert g == frozenset.intersection(*complete)
+    assert g in complete
+
+
+CERTIFIED = [(seed, *shape) for seed, shape in enumerate(itertools.product((14, 17, 20), (0.05, 0.1, 0.2), (0.03, 0.08)))]
+
+
+@pytest.mark.parametrize("seed, n, density, mutual", CERTIFIED)
+def test_extensions_carry_their_certificates(seed, n, density, mutual):
+    rng = random.Random(seed)
+    assert_certified(random_frame(rng, mixed_ids(rng, n), density, mutual))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_disjoint_union_of_oracle_checked_halves_is_exact(seed):
+    rng = random.Random(100 + seed)
+    ids = mixed_ids(rng, 20)
+    density = (0.05, 0.1, 0.15, 0.2)[seed]
+    left, right = (random_frame(rng, half, density, 0.1) for half in (ids[:10], ids[10:]))
+    union = ArgumentationFrame.of(left.args | right.args, left.attacks | right.attacks)
+    for kind in SemanticsKind:
+        exact = [oracle_semantics(kind, half) for half in (left, right)]
+        assert [semantics(kind, half) for half in (left, right)] == exact
+        assert semantics(kind, union) == frozenset(a | b for a in exact[0] for b in exact[1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_renaming_arguments_renames_extensions(seed):
+    rng = random.Random(200 + seed)
+    ids = mixed_ids(rng, rng.randint(8, 16))
+    f = random_frame(rng, ids, rng.choice((0.05, 0.1, 0.2)), 0.08)
+    fresh = mixed_ids(rng, len(ids))
+    name = dict(zip(ids, fresh))
+    renamed = ArgumentationFrame.of(fresh, [(name[a], name[b]) for a, b in f.attacks])
+    for kind in SemanticsKind:
+        assert semantics(kind, renamed) == frozenset(frozenset(name[a] for a in e) for e in semantics(kind, f))

@@ -16,8 +16,6 @@ from mmarg.state import (
     perceived,
     perceived_lower_bound,
     public_model,
-    trust_adjusted_public_semantics,
-    trust_neutral_public_semantics,
     validate,
     view,
 )
@@ -248,12 +246,12 @@ def test_public_model_identity_when_nothing_factual(mafia):
 def test_trust_adjusted_equals_trust_neutral_without_mutual_conflicts(mafia):
     m = state_at(mafia, 3)  # public record at D has no mutual conflict
     for e in sorted(m.agents):
-        assert trust_adjusted_public_semantics(m, e) == trust_neutral_public_semantics(m, e, e)
+        assert query(m, e, None, "trust-adjusted") == query(m, e, e, "public")
 
 
 def test_empty_public_record_semantics(mafia):
     m = mafia.initial
-    assert sorted_extensions(trust_neutral_public_semantics(m, "e1", "e2")) == [[]]
+    assert sorted_extensions(query(m, "e1", "e2", "public")) == [[]]
 
 
 def prop1_holds(m) -> bool:
