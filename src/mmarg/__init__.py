@@ -6,12 +6,7 @@ announcement dynamics, deception/honesty detection, and trust revision,
 plus a scenario file format and CLI to replay games deterministically.
 """
 
-from .frames import (
-    EMPTY_FRAME,
-    ArgumentationFrame,
-    combine,
-    restrict,
-)
+from .frames import ArgumentationFrame, combine, restrict
 from .semantics import (
     CREDULOUS,
     SKEPTICAL,
@@ -48,7 +43,6 @@ from .dynamics import (
     Verdict,
     announce,
     check_announcement,
-    detect,
     restrict_extensions,
     step,
     update,

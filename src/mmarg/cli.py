@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 
 from .dynamics import AnnouncementError, TrustPolicy
 from .oracle import MAX_ORACLE_ARGS, oracle_semantics, random_frame
@@ -82,10 +83,6 @@ def _policy(text: str | None) -> TrustPolicy | None:
         raise ScenarioParseError(f"bad --policy value {text!r}: {exc} (expected H,D)") from exc
 
 
-def _labels(sc: Scenario) -> dict[str, str]:
-    return {d.id: d.label for d in sc.arguments if d.label}
-
-
 def cmd_validate(ns) -> int:
     _load(ns.file)
     print(f"{ns.file}: valid")
@@ -96,7 +93,7 @@ def cmd_run(ns) -> int:
     sc = _load(ns.file)
     policy = _policy(ns.policy)
     if policy is not None:
-        sc = Scenario(sc.arguments, sc.initial, sc.script, policy, sc.notes)
+        sc = replace(sc, policy=policy)
     trace: Trace = run(sc, with_semantics=ns.with_semantics)
     _emit(dumps_trace(trace), ns.trace)
     if trace.error_step is not None:
@@ -118,7 +115,7 @@ def cmd_query(ns) -> int:
 def cmd_export(ns) -> int:
     sc = _load(ns.file)
     m = state_at(sc, ns.at)
-    _emit(export_graph(m, ns.view, _labels(sc)), ns.out)
+    _emit(export_graph(m, ns.view, sc.labels), ns.out)
     return EX_OK
 
 

@@ -11,8 +11,8 @@ certifies honesty; anything else stays undetermined.  Detected verdicts
 move the trust matrix by a policy's step sizes.
 
 :func:`step` is that whole replay step, done once: announce, the verdict
-matrix on the announced state, trust revision.  :func:`update` is its
-revised state and :func:`detect` one entry of its verdict matrix.  A step
+matrix on the announced state, trust revision; it is the only place a
+verdict is computed, and :func:`update` is its revised state.  A step
 solves each distinct (semantics kind, frame) its verdicts ask for once: the
 pairs share one memo that lives only as long as the call, and every miss
 calls this module's ``semantics`` as it is bound at that moment.  A pair
@@ -119,27 +119,26 @@ def check_announcement(m: MmaState, ev: AnnouncementEvent) -> list[Violation]:
     return out
 
 
-def announce(m: MmaState, ev: AnnouncementEvent) -> tuple[MmaState, AnnouncementEvent, MmaState]:
-    """Merge a valid announcement into a snapshot, returning (before, event, after).
+def announce(m: MmaState, ev: AnnouncementEvent) -> MmaState:
+    """Merge a valid announcement into a snapshot, returning the announced snapshot.
 
     Global, public, every awareness frame and every override grow by the
     event through :func:`~mmarg.frames.combine` (a frame that holds it all
     is kept).  Each contains the public record, so after the no-leak check
     each grown frame is closed; a hand-built state that breaks this nesting
-    raises ``ValueError``.  Scopes, agents, semantics models, fact splits
-    and trust stay put (trust moves only in revision).
+    raises ``ValueError``.  Scopes, semantics models, fact splits and trust
+    stay put (trust moves only in revision).
     """
     violations = check_announcement(m, ev)
     if violations:
         raise AnnouncementError(violations)
-    m2 = replace(
+    return replace(
         m,
         global_af=combine(m.global_af, ev),
         public_af=combine(m.public_af, ev),
         aware={e: combine(f, ev) for e, f in m.aware.items()},
         overrides={pair: combine(f, ev) for pair, f in m.overrides.items()},
     )
-    return m, ev, m2
 
 
 def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet:
@@ -148,18 +147,15 @@ def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet
     return frozenset(ext & keep for ext in exts)
 
 
-def _verdict(m2: MmaState, viewer: str, subject: str, ev: AnnouncementEvent, solve: Solve) -> Verdict:
-    """Compare the trust-neutral public and local semantics, both solved through ``solve``.
+def _verdict(m2: MmaState, viewer: str, subject: str, checked: frozenset[str], solve: Solve) -> Verdict:
+    """Compare the trust-neutral public and local semantics on ``checked``, both solved through ``solve``.
 
+    ``checked`` is the nonempty part of the subject's scope just announced.
     The viewer's model of the subject is built once.  When it is the public
     record, both frames are the same adjusted frame, whose semantics is
     never empty, so they agree and only the factual test decides; no
     adjusted frame is built and nothing is solved.
     """
-    checked = ev.args & m2.scope[subject]
-    if not checked:
-        # Nothing of the subject's own scope was announced: no evidence.
-        return Verdict.UNDETERMINED
     intra = m2.intra[(viewer, subject)]
     local = perceived(m2, viewer, subject)
     if local == m2.public_af:
@@ -174,19 +170,6 @@ def _verdict(m2: MmaState, viewer: str, subject: str, ev: AnnouncementEvent, sol
     return Verdict.UNDETERMINED
 
 
-def detect(m: MmaState, viewer: str, subject: str, ev: AnnouncementEvent) -> Verdict:
-    """The viewer's verdict on the subject for one announcement.
-
-    Both compared semantics are evaluated on the post-announcement snapshot:
-    the public claim covers everything announced so far, the new event
-    included.
-    """
-    if viewer not in m.agents or subject not in m.agents:
-        raise ValueError(f"unknown agent pair ({viewer},{subject})")
-    _, _, m2 = announce(m, ev)
-    return _verdict(m2, viewer, subject, ev, functools.cache(semantics))
-
-
 def step(
     m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy
 ) -> tuple[MmaState, dict[Pair, Verdict], MmaState]:
@@ -199,10 +182,9 @@ def step(
     on any other subject is undetermined without building a frame.  A
     pair whose viewer's model of the subject is the public record is judged
     by the factual test alone, with no adjusted frame built and nothing
-    solved.  Each
-    distinct (kind, frame) the other verdicts need is solved once, through
-    a memo made for this call.  Raises :class:`AnnouncementError` for an
-    invalid event.
+    solved.  Each distinct (kind, frame) the other verdicts need is solved
+    once, through a memo made for this call.  Raises
+    :class:`AnnouncementError` for an invalid event.
     """
     return _step(m, ev, policy, functools.cache(semantics))
 
@@ -211,11 +193,11 @@ def _step(
     m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy, solve: Solve
 ) -> tuple[MmaState, dict[Pair, Verdict], MmaState]:
     """:func:`step` with every verdict's solves going through ``solve``, a memo the caller owns."""
-    _, _, m2 = announce(m, ev)
+    m2 = announce(m, ev)
     order = sorted(m.agents)
-    touched = {s for s in order if not ev.args.isdisjoint(m2.scope[s])}
+    checked = {s: ev.args & m2.scope[s] for s in order}
     verdicts = {
-        (v, s): _verdict(m2, v, s, ev, solve) if s in touched else Verdict.UNDETERMINED
+        (v, s): _verdict(m2, v, s, checked[s], solve) if checked[s] else Verdict.UNDETERMINED
         for v in order
         for s in order
         if v != s

@@ -48,9 +48,6 @@ class ArgumentationFrame:
         return other.args <= self.args and other.attacks <= self.attacks
 
 
-EMPTY_FRAME = ArgumentationFrame(frozenset(), frozenset())
-
-
 def restrict(f: ArgumentationFrame, keep: Iterable[str]) -> ArgumentationFrame:
     """Drop every argument outside ``keep`` and every attack that leaves the cut."""
     kept = f.args & frozenset(keep)

@@ -53,18 +53,19 @@ class ScenarioValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ArgumentDecl:
-    id: str
-    owner: str
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class Scenario:
-    arguments: tuple[ArgumentDecl, ...]
+    """An initial state, the script replayed from it and the trust policy.
+
+    The document's argument roster is not kept as such: its ids are
+    ``initial.global_af.args``, each owner is the agent whose
+    ``initial.scope`` holds the id, and ``labels`` maps an id to its
+    nonempty display label.
+    """
+
     initial: MmaState
     script: tuple[AnnouncementEvent, ...]
     policy: TrustPolicy
+    labels: Mapping[str, str]
     notes: str = ""
 
 
@@ -142,23 +143,24 @@ def parse_scenario(doc: Any) -> Scenario:
         _expect(key in doc, f"missing top-level key {key!r}")
     _expect(isinstance(doc.get("notes", ""), str), "notes must be a string")
 
-    decls: list[ArgumentDecl] = []
-    seen: set[str] = set()
+    owners: dict[str, str] = {}
+    labels: dict[str, str] = {}
     _expect(isinstance(doc["arguments"], list), "arguments must be a list of declarations")
     for raw in doc["arguments"]:
         _expect(isinstance(raw, dict) and isinstance(raw.get("id"), str) and isinstance(raw.get("owner"), str)
                 and isinstance(raw.get("label", ""), str), f"bad argument declaration {raw!r}")
         _expect(raw["id"] != "", "arguments: argument ids must be nonempty strings, got ''")
-        _expect(raw["id"] not in seen, f"duplicate argument id {raw['id']!r}")
-        seen.add(raw["id"])
-        decls.append(ArgumentDecl(raw["id"], raw["owner"], raw.get("label", "")))
-    arg_ids = frozenset(seen)
+        _expect(raw["id"] not in owners, f"duplicate argument id {raw['id']!r}")
+        owners[raw["id"]] = raw["owner"]
+        if raw.get("label"):
+            labels[raw["id"]] = raw["label"]
+    arg_ids = frozenset(owners)
 
     scopes_raw = doc["scopes"]
     _expect(isinstance(scopes_raw, dict) and scopes_raw, "scopes must be a nonempty object")
     agents = sorted(scopes_raw)
-    for d in decls:
-        _expect(d.owner in scopes_raw, f"argument {d.id} owned by unknown agent {d.owner!r}")
+    for a, owner in owners.items():
+        _expect(owner in scopes_raw, f"argument {a} owned by unknown agent {owner!r}")
     listed_in: dict[str, list[str]] = {}
     for e in agents:
         listed = scopes_raw[e]
@@ -173,7 +175,7 @@ def parse_scenario(doc: Any) -> Scenario:
     if overlaps:
         raise ScenarioValidationError(overlaps)
     for e in agents:
-        owned = {d.id for d in decls if d.owner == e}
+        owned = {a for a, owner in owners.items() if owner == e}
         _expect(set(scopes_raw[e]) == owned, f"scope of {e} disagrees with the declared owners")
 
     global_attacks = _as_attacks(doc["global_attacks"], "global_attacks")
@@ -227,7 +229,6 @@ def parse_scenario(doc: Any) -> Scenario:
     initial = MmaState(
         global_af=global_af,
         public_af=public_af,
-        agents=frozenset(agents),
         scope=scope,
         aware=aware,
         sem_model=sem_model,
@@ -258,7 +259,7 @@ def parse_scenario(doc: Any) -> Scenario:
     except ValueError as exc:
         raise ScenarioParseError(f"bad policy: {exc}") from exc
 
-    return Scenario(tuple(decls), initial, tuple(script), policy, doc.get("notes", ""))
+    return Scenario(initial, tuple(script), policy, labels, doc.get("notes", ""))
 
 
 def load_scenario(source: str | bytes | IO) -> Scenario:
@@ -302,11 +303,12 @@ def _pair_matrix_doc(values: Mapping[Pair, Any], conv=lambda x: x) -> dict:
 
 
 def scenario_to_doc(sc: Scenario) -> dict:
-    agents = sorted(sc.initial.agents)
     m = sc.initial
+    agents = sorted(m.agents)
+    owner = {a: e for e in agents for a in m.scope[e]}
     doc: dict[str, Any] = {
         "notes": sc.notes,
-        "arguments": [{"id": d.id, "owner": d.owner, "label": d.label} for d in sorted(sc.arguments, key=lambda d: d.id)],
+        "arguments": [{"id": a, "owner": owner[a], "label": sc.labels.get(a, "")} for a in sorted(m.global_af.args)],
         "global_attacks": [list(p) for p in sorted(m.global_af.attacks)],
         "scopes": {e: sorted(m.scope[e]) for e in agents},
         "awareness": {e: _frame_doc(m.aware[e]) for e in agents},
@@ -318,7 +320,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "script": [{"announcers": sorted(ev.announcers), **_frame_doc(ev)} for ev in sc.script],
         "policy": {"honest": sc.policy.delta_honest, "dishonest": sc.policy.delta_dishonest},
     }
-    for (v, s), f in sorted(sc.initial.overrides.items()):
+    for (v, s), f in sorted(m.overrides.items()):
         doc["omega_overrides"].setdefault(v, {})[s] = _frame_doc(f)
     return doc
 

@@ -14,8 +14,9 @@ state is read through is named in one table, :data:`VIEWS`, read by :func:`view`
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, KeysView, Mapping
 
 from .frames import ArgumentationFrame, combine, restrict
 from .preferences import IntraPreference, adjust, derive_inter
@@ -41,7 +42,8 @@ class Violation:
 class MmaState:
     """One epistemic snapshot of a multi-agent argumentation.
 
-    ``scope`` maps each agent to the arguments it owns, ``aware`` to the
+    ``scope`` maps each agent to the arguments it owns; its keys are the
+    agents, read through :attr:`agents`.  ``aware`` maps each agent to the
     frame of all it sees (its local argumentation, the public record, and
     whatever else it knows of others).  ``sem_model[(e1, e2)]`` is the
     semantics e1 assumes e2 applies; ``intra[(e1, e2)]`` is e1's model of
@@ -52,7 +54,6 @@ class MmaState:
 
     global_af: ArgumentationFrame
     public_af: ArgumentationFrame
-    agents: frozenset[str]
     scope: Mapping[str, frozenset[str]]
     aware: Mapping[str, ArgumentationFrame]
     sem_model: Mapping[Pair, SemanticsKind]
@@ -60,10 +61,9 @@ class MmaState:
     trust: Mapping[Pair, int]
     overrides: Mapping[Pair, ArgumentationFrame] = field(default_factory=dict)
 
-
-def _pairs(agents: frozenset[str]) -> list[Pair]:
-    order = sorted(agents)
-    return [(v, s) for v in order for s in order]
+    @property
+    def agents(self) -> KeysView[str]:
+        return self.scope.keys()
 
 
 def perceived_lower_bound(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
@@ -92,11 +92,10 @@ def validate(m: MmaState) -> list[Violation]:
     if not m.global_af.contains(m.public_af):
         out.append(Violation("structure", "public frame is not a sub-frame of the global frame"))
 
-    for e in sorted(m.agents):
-        for name, mapping in (("scope", m.scope), ("awareness", m.aware)):
-            if e not in mapping:
-                out.append(Violation("structure", f"agent {e} has no {name}"))
-        if e not in m.scope or e not in m.aware:
+    order = sorted(m.agents)
+    for e in order:
+        if e not in m.aware:
+            out.append(Violation("structure", f"agent {e} has no awareness"))
             continue
         fe, fa = m.scope[e], m.aware[e]
         if not fe:
@@ -110,15 +109,13 @@ def validate(m: MmaState) -> list[Violation]:
         if not fa.contains(m.public_af):
             out.append(Violation("public subsumption", f"awareness of {e} does not subsume the public frame"))
 
-    order = sorted(m.agents)
     for i, e1 in enumerate(order):
         for e2 in order[i + 1:]:
-            if e1 in m.scope and e2 in m.scope:
-                shared = m.scope[e1] & m.scope[e2]
-                if shared:
-                    out.append(Violation("local scopes", f"scopes of {e1} and {e2} share arguments {sorted(shared)}"))
+            shared = m.scope[e1] & m.scope[e2]
+            if shared:
+                out.append(Violation("local scopes", f"scopes of {e1} and {e2} share arguments {sorted(shared)}"))
 
-    for pair in _pairs(m.agents):
+    for pair in itertools.product(order, repeat=2):
         v, s = pair
         for name, mapping in (("semantics", m.sem_model), ("intra preference", m.intra), ("trust", m.trust)):
             if pair not in mapping:
@@ -135,8 +132,6 @@ def validate(m: MmaState) -> list[Violation]:
             continue
         known = m.intra[(knower, knower)].factual
         for owner in order:
-            if owner not in m.scope:
-                continue
             for a in sorted(known & m.scope[owner]):
                 if (owner, owner) in m.intra and a not in m.intra[(owner, owner)].factual:
                     out.append(Violation("knowledge", f"{knower} holds {a} factual but its owner {owner} does not"))

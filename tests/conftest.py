@@ -113,7 +113,6 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
     m = MmaState(
         global_af=global_af,
         public_af=public_af,
-        agents=frozenset(agents),
         scope=scope,
         aware=aware,
         sem_model=sem_model,

@@ -9,7 +9,7 @@ import random
 import time
 
 from mmarg.cli import EX_OK, main
-from mmarg.dynamics import AnnouncementEvent, Verdict, announce, check_announcement, detect, restrict_extensions, update
+from mmarg.dynamics import AnnouncementEvent, Verdict, announce, check_announcement, restrict_extensions, step, update
 from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
 from mmarg.scenario import fixture_path, query, run, state_at
@@ -50,8 +50,8 @@ def test_criterion_1_worked_example_reproduction(mafia, mafia_trusts_e1, mafia_t
 def test_criterion_2_detection_verdicts(mafia, mafia_dprime):
     m_c = state_at(mafia, 2)
     step3 = mafia.script[2]
-    assert detect(m_c, "e2", "e1", step3) is Verdict.DISHONEST
-    _, _, m_d = announce(m_c, step3)
+    m_d, verdicts, _ = step(m_c, step3, mafia.policy)
+    assert verdicts[("e2", "e1")] is Verdict.DISHONEST
     checked = step3.args & m_d.scope["e1"]
     assert checked == {"a2", "a3"}
     src = restrict_extensions(query(m_d, "e2", "e1", "public"), checked)
@@ -62,8 +62,9 @@ def test_criterion_2_detection_verdicts(mafia, mafia_dprime):
     m_c2 = state_at(mafia_dprime, 2)
     honest_step = mafia_dprime.script[2]
     assert honest_step.args == {"a1"}
-    assert detect(m_c2, "e2", "e1", honest_step) is Verdict.HONEST
-    assert detect(m_c2, "e3", "e1", honest_step) is Verdict.UNDETERMINED
+    verdicts = step(m_c2, honest_step, mafia_dprime.policy)[1]
+    assert verdicts[("e2", "e1")] is Verdict.HONEST
+    assert verdicts[("e3", "e1")] is Verdict.UNDETERMINED
     _report(2, "dishonesty at the bluff, honesty at the confession, undetermined for the uninformed")
 
 
@@ -99,7 +100,7 @@ def test_criterion_4_announcement_validity(mafia):
     step4 = mafia.script[3]
     assert step4 == AnnouncementEvent.of(["a5"], [("a5", "a2"), ("a5", "a3")], ["e2"])
     assert check_announcement(m_d, step4) == []
-    _, _, m_e = announce(m_d, step4)
+    m_e = announce(m_d, step4)
     assert m_e.public_af == ArgumentationFrame.of(
         ["a2", "a3", "a4", "a5", "a9"],
         [("a3", "a4"), ("a3", "a5"), ("a4", "a9"), ("a5", "a2"), ("a5", "a3")],
@@ -173,7 +174,7 @@ def test_criterion_6_theorem_suites(mafia, mafia_dprime, mafia_trusts_e1, mafia_
         event = random_announcement(rng, m, avoid_scope=chosen)
         if event is None:
             continue
-        _, _, m2 = announce(m, event)
+        m2 = announce(m, event)
         assert m2.scope[chosen] == m.scope[chosen]
         m3 = update(m, event)
         assert m3 != m

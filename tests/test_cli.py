@@ -1,15 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from mmarg import cli
 from mmarg.cli import EX_ANNOUNCEMENT, EX_OK, EX_PARSE, EX_USAGE, EX_VALIDATION, main
-from mmarg.scenario import ScenarioParseError, dumps_scenario, fixture_path, parse_scenario
+from mmarg.frames import ArgumentationFrame
+from mmarg.oracle import oracle_semantics
+from mmarg.scenario import ScenarioParseError, dumps_scenario, fixture_path, parse_scenario, state_at
+from mmarg.semantics import SemanticsKind, sorted_extensions
 
 from conftest import load_bundled
 
 
 FIXTURE = fixture_path("mafia_endgame")
+GOLDEN = Path(__file__).parent / "data"
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -153,6 +158,22 @@ def test_run_invalid_event_exits_2(tmp_path, capsys):
     assert "invalid announcement" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["query", "--viewer", "e2", "--subject", "e1", "--view", "public"],
+    ["export", "--view", "public"],
+])
+def test_query_and_export_past_an_invalid_step_exit_2(command, tmp_path, capsys):
+    doc = json.loads(dumps_scenario(load_bundled("mafia_endgame")))
+    doc["script"].append(doc["script"][2])  # step 5 repeats step 3
+    name, *options = command
+    path = write_doc(tmp_path, doc)
+    assert main([name, path, "--at", "5", *options]) == EX_ANNOUNCEMENT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid announcement: (no repetition) attack (a3,a4) already stands publicly; ")
+    assert main([name, path, "--at", "4", *options]) == EX_OK
+
+
 def test_query_public_and_local(capsys):
     assert main(["query", FIXTURE, "--at", "3", "--viewer", "e2", "--subject", "e1", "--view", "public"]) == EX_OK
     assert json.loads(capsys.readouterr().out) == [["a2", "a3", "a9"]]
@@ -191,6 +212,12 @@ def test_export_public_view(capsys):
     assert dot.count("style=filled") == 5
     for edge in ('"a3" -> "a4"', '"a3" -> "a5"', '"a5" -> "a2"', '"a5" -> "a3"', '"a4" -> "a9"'):
         assert edge in dot
+
+
+def test_export_matches_golden_file(capsys):
+    # Labels, scope clusters and the fill of public arguments, byte for byte.
+    assert main(["export", "mafia_endgame", "--at", "4", "--view", "trust-adjusted:e3"]) == EX_OK
+    assert capsys.readouterr().out == (GOLDEN / "export_mafia_endgame_at4_trust_adjusted_e3.dot").read_text(encoding="utf-8")
 
 
 def test_export_adjusted_view_to_file(tmp_path):
@@ -238,3 +265,31 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing file argument
     assert exc.value.code == EX_USAGE
+
+
+def test_opponent_model_override_parses_round_trips_and_grows(tmp_path, capsys):
+    # e2's model of e1 pinned between its lower bound (the public record and
+    # what e2 sees of e1's scope: a1-a3) and e2's awareness: e2 also credits
+    # e1 with a4.
+    sc = load_bundled("mafia_endgame")
+    doc = json.loads(dumps_scenario(sc))
+    override = {"args": ["a1", "a2", "a3", "a4"], "attacks": [["a1", "a2"], ["a1", "a3"], ["a3", "a1"]]}
+    doc["omega_overrides"] = {"e2": {"e1": override}}
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", path]) == EX_OK
+    with_override = parse_scenario(doc)
+    assert dumps_scenario(with_override) == text
+    frame = ArgumentationFrame.of(override["args"], map(tuple, override["attacks"]))
+    assert with_override.initial.overrides == {("e2", "e1"): frame}
+    capsys.readouterr()
+    for at in range(len(sc.script) + 1):
+        announced = sc.script[:at]
+        grown = ArgumentationFrame(
+            frame.args.union(*(ev.args for ev in announced)),
+            frame.attacks.union(*(ev.attacks for ev in announced)),
+        )
+        assert state_at(with_override, at).overrides == {("e2", "e1"): grown}
+        assert main(["query", path, "--at", str(at), "--viewer", "e2", "--subject", "e1", "--view", "perceived"]) == EX_OK
+        assert json.loads(capsys.readouterr().out) == sorted_extensions(oracle_semantics(SemanticsKind.PREFERRED, grown))
+    assert sorted_extensions(oracle_semantics(SemanticsKind.PREFERRED, frame)) == [["a1", "a4"], ["a2", "a3", "a4"]]

@@ -13,7 +13,6 @@ from mmarg.dynamics import (
     Verdict,
     announce,
     check_announcement,
-    detect,
     restrict_extensions,
     step,
     update,
@@ -101,8 +100,7 @@ def test_announce_rejects_invalid_event(mafia):
 def test_announce_expands_and_keeps_the_rest(mafia):
     m = state_at(mafia, 3)
     event = mafia.script[3]
-    before, same_event, after = announce(m, event)
-    assert before == m and same_event == event
+    after = announce(m, event)
     for pre, post in ((m.public_af, after.public_af), (m.global_af, after.global_af)):
         assert post.contains(pre)
     for e in sorted(m.agents):
@@ -181,15 +179,10 @@ def test_restrict_extensions_examples():
     assert restrict_extensions(ext({"a1"}, {"a2"}), set()) == ext(set())
 
 
-def test_detect_requires_known_agents(mafia):
-    with pytest.raises(ValueError):
-        detect(mafia.initial, "e9", "e1", mafia.script[0])
-
-
 def test_detect_payload_outside_subject_scope_is_undetermined(mafia):
     m = state_at(mafia, 2)
     # Step 3's payload contains nothing of e3's scope.
-    assert detect(m, "e2", "e3", mafia.script[2]) is Verdict.UNDETERMINED
+    assert step(m, mafia.script[2], mafia.policy)[1][("e2", "e3")] is Verdict.UNDETERMINED
 
 
 def test_detection_matrix_covers_distinct_pairs(mafia):
@@ -197,8 +190,6 @@ def test_detection_matrix_covers_distinct_pairs(mafia):
     _, matrix, _ = step(m, mafia.script[2], mafia.policy)
     agents = sorted(m.agents)
     assert set(matrix) == {(v, s) for v in agents for s in agents if v != s}
-    for (v, s), verdict in matrix.items():
-        assert detect(m, v, s, mafia.script[2]) is verdict
 
 
 def test_revise_moves_only_trust(mafia):
@@ -227,7 +218,7 @@ def test_all_undetermined_leaves_trust_unchanged(mafia):
 def test_update_composes_announce_and_revise(mafia):
     m = state_at(mafia, 2)
     m2, _, m3 = step(m, mafia.script[2], mafia.policy)
-    assert m2 == announce(m, mafia.script[2])[2]
+    assert m2 == announce(m, mafia.script[2])
     assert update(m, mafia.script[2], mafia.policy) == m3
 
 
@@ -263,7 +254,7 @@ def test_scopes_untouched_by_announcements_avoiding_them():
         if event is None:
             continue
         assert not event.args & m.scope[chosen]
-        _, _, m2 = announce(m, event)
+        m2 = announce(m, event)
         assert m2.scope[chosen] == m.scope[chosen]
         done += 1
 
@@ -372,11 +363,9 @@ def test_step_solves_each_distinct_kind_and_frame_once(solver_calls):
     assert len(cases) > 60
     for m, event, policy in cases:
         solver_calls.clear()
-        m2, verdicts, _ = step(m, event, policy)
+        m2 = step(m, event, policy)[0]
         assert len(solver_calls) == len(set(solver_calls))
         assert set(solver_calls) == _verdict_solves(m2, event)
-        for (v, s), verdict in verdicts.items():
-            assert detect(m, v, s, event) is verdict
 
 
 def test_step_judges_only_subjects_whose_scope_the_payload_meets(perceived_calls):
@@ -400,7 +389,6 @@ def test_step_judges_only_subjects_whose_scope_the_payload_meets(perceived_calls
             if pair not in touched:
                 untouched += 1
                 assert verdict is Verdict.UNDETERMINED
-            assert detect(m, *pair, event) is verdict
     assert untouched > 100
     # Both ways of judging a touched pair occur, so neither is tested vacuously.
     assert shortcut > 0 and solved > 0

@@ -2,11 +2,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mmarg.dynamics import AnnouncementEvent
-from mmarg.frames import EMPTY_FRAME, ArgumentationFrame, combine, restrict
+from mmarg.frames import ArgumentationFrame, combine, restrict
 
 
 def f(args, attacks=()):
     return ArgumentationFrame.of(args, attacks)
+
+
+EMPTY = f([])
 
 
 def test_dung_frame_rejects_dangling_attack():
@@ -49,7 +52,7 @@ def frames(draw, max_args=5):
     n = draw(st.integers(0, max_args))
     args = [f"b{i}" for i in range(n)]
     if n == 0:
-        return EMPTY_FRAME
+        return EMPTY
     attacks = draw(st.sets(st.tuples(st.sampled_from(args), st.sampled_from(args)), max_size=12))
     return ArgumentationFrame.of(args, attacks)
 
@@ -184,7 +187,7 @@ def test_combine_is_the_cut_definition(f1, f2):
 @example(f(["b0", "b1"], [("b0", "b1")]), f(["b0"]))
 @example(f(["b0"]), f(["b0", "b1"], [("b0", "b1")]))
 @example(f(["b0"]), f(["b0"]))
-@example(EMPTY_FRAME, EMPTY_FRAME)
+@example(EMPTY, EMPTY)
 def test_combine_returns_an_input_exactly_when_it_is_closed_and_the_result(f1, f2):
     # The identity is one-sided: only the first input comes back, exactly
     # when it already holds the second; a second input that holds the first

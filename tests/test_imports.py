@@ -1,4 +1,5 @@
-"""The library imports nothing outside the standard library, and its search has one entry, ``semantics``."""
+"""The library imports nothing outside the standard library, its search has one entry, ``semantics``,
+and a verdict is computed in one place, ``dynamics._step``."""
 
 import ast
 import sys
@@ -47,22 +48,32 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
-def search_callers(path: Path) -> dict[str, list[str]]:
-    """For each name of :data:`SEARCH`, the top-level function of every call to it, in source order."""
-    callers: dict[str, list[str]] = {name: [] for name in SEARCH}
+def callers_of(path: Path, names: set[str]) -> dict[str, list[str]]:
+    """For each of ``names``, the top-level function of every call to it in one module, in source order."""
+    callers: dict[str, list[str]] = {name: [] for name in names}
     for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in SEARCH:
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
                 callers[node.func.id].append(getattr(top, "name", "<module>"))
     return callers
 
 
-def test_the_search_is_entered_only_through_semantics():
+def naming_modules(names: set[str], home: Path) -> set[tuple[str, str]]:
+    """(module, name) for every module of the repo other than ``home`` that names one of ``names``."""
     modules = [p for d in ("src/mmarg", "scripts", "tests", "bench") for p in sorted((REPO / d).glob("*.py"))]
-    assert SRC / "semantics.py" in modules
-    outside = {(p.name, n) for p in modules if p != SRC / "semantics.py" for n in referenced_names(p) & SEARCH}
-    assert not outside
-    callers = search_callers(SRC / "semantics.py")
+    assert home in modules
+    return {(p.name, n) for p in modules if p != home for n in referenced_names(p) & names}
+
+
+def test_the_search_is_entered_only_through_semantics():
+    assert not naming_modules(SEARCH, SRC / "semantics.py")
+    callers = callers_of(SRC / "semantics.py", SEARCH)
     assert callers["_index"] == ["semantics"]
     assert set(callers["_complete_masks"]) == {"semantics"}
     assert set(callers["_grounded_mask"]) == {"semantics", "_complete_masks"}
+
+
+def test_a_verdict_is_computed_only_by_the_replay_step():
+    # A second entry to `_verdict` (a one-pair `detect`, say) fails here.
+    assert not naming_modules({"_verdict"}, SRC / "dynamics.py")
+    assert callers_of(SRC / "dynamics.py", {"_verdict"}) == {"_verdict": ["_step"]}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -42,7 +43,7 @@ def test_bundled_fixture_loads_and_validates(mafia):
     assert sorted(mafia.initial.agents) == ["e1", "e2", "e3"]
     assert len(mafia.script) == 4
     assert mafia.policy == TrustPolicy(1, 1)
-    assert {d.id for d in mafia.arguments} == {f"a{i}" for i in range(1, 10)}
+    assert mafia.initial.global_af.args == {f"a{i}" for i in range(1, 10)}
 
 
 def test_bundled_listing_contains_the_variants():
@@ -146,7 +147,7 @@ def test_run_with_semantics_records_trust_adjusted_views(mafia_trusts_e2):
 def test_run_halts_at_first_invalid_event(mafia):
     # Re-announcing step 3 verbatim duplicates public attacks.
     script = mafia.script + (mafia.script[2],)
-    sc = Scenario(mafia.arguments, mafia.initial, script, mafia.policy, mafia.notes)
+    sc = replace(mafia, script=script)
     trace = run(sc)
     assert trace.error_step == 5
     assert len(trace.steps) == 4
@@ -156,7 +157,7 @@ def test_run_halts_at_first_invalid_event(mafia):
 
 
 def test_empty_script_trace(mafia):
-    sc = Scenario(mafia.arguments, mafia.initial, (), mafia.policy, mafia.notes)
+    sc = replace(mafia, script=())
     trace = run(sc)
     assert trace.steps == ()
     assert trace.final == mafia.initial
@@ -195,7 +196,7 @@ def _golden_scenario(name: str) -> Scenario:
     if name == "mafia_endgame_repeat_step3":
         # Step 3 announced again halts the replay at step 5.
         sc = load_bundled("mafia_endgame")
-        return Scenario(sc.arguments, sc.initial, sc.script + (sc.script[2],), sc.policy, sc.notes)
+        return replace(sc, script=sc.script + (sc.script[2],))
     return load_bundled(name)
 
 
@@ -205,6 +206,12 @@ def test_run_trace_matches_golden_file(name):
     # drift is a behaviour change.
     want = (GOLDEN / f"trace_{name}.json").read_text(encoding="utf-8")
     assert dumps_trace(run(_golden_scenario(name), with_semantics=True)) == want
+
+
+def test_scenario_dump_matches_golden_file(mafia):
+    # Ids, owners and labels of the roster are written from the global
+    # frame, the scopes and the scenario's labels.
+    assert dumps_scenario(mafia) == (GOLDEN / "scenario_mafia_endgame.json").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +302,7 @@ def traces(draw) -> Trace:
         trust_after=st.dictionaries(pairs, TRUST, max_size=5),
         trust_adjusted=st.none() | st.dictionaries(agents, extensions, max_size=3),
     )
-    final = MmaState(draw(frames()), draw(frames()), frozenset(), {}, {}, {}, {}, draw(st.dictionaries(pairs, TRUST, max_size=5)))
+    final = MmaState(draw(frames()), draw(frames()), {}, {}, {}, {}, draw(st.dictionaries(pairs, TRUST, max_size=5)))
     error_step = draw(st.none() | st.integers(1, 10**6))
     return Trace(tuple(draw(st.lists(steps, max_size=2))), final, error_step, tuple(draw(st.lists(st.text(), max_size=3))))
 
@@ -303,7 +310,7 @@ def traces(draw) -> Trace:
 def _edge_trace(**step_fields) -> Trace:
     empty = ArgumentationFrame(frozenset(), frozenset())
     step = TraceStep(1, AnnouncementEvent.of([], [], ["e"]), (), (), (), (), {}, {}, {}, **step_fields)
-    return Trace((step,), MmaState(empty, empty, frozenset(), {}, {}, {}, {}, {}))
+    return Trace((step,), MmaState(empty, empty, {}, {}, {}, {}, {}))
 
 
 def _matrix_trace(agents, *trusts, final=None) -> Trace:
@@ -316,7 +323,7 @@ def _matrix_trace(agents, *trusts, final=None) -> Trace:
         for i, (before, after) in enumerate(zip((trusts[0],) + trusts, trusts))
     )
     final_trust = trusts[-1] if final is None else final
-    return Trace(steps, MmaState(empty, empty, frozenset(), {}, {}, {}, {}, final_trust))
+    return Trace(steps, MmaState(empty, empty, {}, {}, {}, {}, final_trust))
 
 
 def _trust(agents, base):

@@ -8,6 +8,9 @@ on frames of 14-20 arguments, too large to enumerate subsets of cheaply.
 Exact references for 20 arguments come from disjoint unions of two
 oracle-checked halves, whose extensions are exactly the unions of one
 extension of each half.  Renaming the arguments must rename the extensions.
+All three kinds are directional (Baroni and Giacomin, AIJ 171, 2007): on a
+set that no attack from outside enters, the extensions cut to the set are
+exactly the extensions of the frame restricted to it.
 
 Only :func:`mmarg.semantics` and :func:`mmarg.oracle_semantics` are called.
 """
@@ -100,3 +103,17 @@ def test_renaming_arguments_renames_extensions(seed):
     renamed = ArgumentationFrame.of(fresh, [(name[a], name[b]) for a, b in f.attacks])
     for kind in SemanticsKind:
         assert semantics(kind, renamed) == frozenset(frozenset(name[a] for a in e) for e in semantics(kind, f))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extensions_cut_to_an_unattacked_set_are_those_of_its_restriction(seed):
+    rng = random.Random(300 + seed)
+    ids = mixed_ids(rng, rng.randint(14, 20))
+    unattacked = set(rng.sample(ids, rng.randint(4, len(ids) - 4)))
+    drawn = random_frame(rng, ids, rng.choice((0.05, 0.1, 0.2)), 0.08)
+    # Drop every attack that enters the set from outside it.
+    f = ArgumentationFrame.of(ids, [(a, b) for a, b in drawn.attacks if a in unattacked or b not in unattacked])
+    restricted = ArgumentationFrame.of(unattacked, [(a, b) for a, b in f.attacks if a in unattacked and b in unattacked])
+    assert restricted.attacks < f.attacks
+    for kind in SemanticsKind:
+        assert frozenset(e & unattacked for e in semantics(kind, f)) == semantics(kind, restricted)

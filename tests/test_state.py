@@ -42,7 +42,6 @@ def two_agent_state(**overrides) -> MmaState:
     fields = dict(
         global_af=global_af,
         public_af=f(["a1", "b1"], [("a1", "b1"), ("b1", "a1")]),
-        agents=frozenset(agents),
         scope=scope,
         aware=aware,
         sem_model={(v, s): SemanticsKind.PREFERRED for v in agents for s in agents},
