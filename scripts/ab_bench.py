@@ -7,8 +7,10 @@ Runs each checkout's own ``bench/run.py --trace 0`` K times, in pairs
 whose order alternates: BASE runs first in odd pairs, CHANGE in even ones.
 Prints every pair's values, then for each end-to-end metric named in
 BASE's ``BENCHMARK.json`` the median and quartiles of each side, the
-change/base ratio of the medians and how many pairs the change won (ties
-count for neither side).  Exits 1 when any run reports ``"correct": false``.
+change/base ratio of the medians, how many pairs the change won (ties
+count for neither side) and a verdict: ``gain shown``, ``worse than
+bound`` or ``no change shown`` (see :func:`verdict`).  Exits 1 when any
+run reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -67,9 +69,24 @@ def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> 
         ratio = f"{cmed / bmed:.3f}" if bmed else "n/a"
         lines.append(
             f"{name} ({m['unit']}, {m['better']} is better): base {bmed:.6g} [{bq1:.6g}, {bq3:.6g}]  "
-            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  change/base {ratio}  change wins {wins} of {len(bv)}"
+            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  change/base {ratio}  change wins {wins} of {len(bv)}  "
+            + verdict(sign, m["bound"], wins / len(bv), (bq1, bmed, bq3), cmed)
         )
     return lines
+
+
+def verdict(sign: int, bound: float, win_share: float, base: tuple[float, float, float], change_median: float) -> str:
+    """``gain shown`` when the change won at least 9 pairs in 10, and its median lies beyond the base's
+    quartile range on the better side and is better than the base median by more than that range is
+    wide; ``worse than bound`` when its median is worse than the base median by more than ``bound``
+    times the base median; else ``no change shown``.  ``sign`` is 1 when higher is better, else -1."""
+    bq1, bmed, bq3 = base
+    beyond = sign * change_median > sign * (bq3 if sign > 0 else bq1)
+    if win_share >= 0.9 and beyond and sign * (change_median - bmed) > bq3 - bq1:
+        return "gain shown"
+    if sign * (bmed - change_median) > bound * abs(bmed):
+        return "worse than bound"
+    return "no change shown"
 
 
 def main(argv: list[str] | None = None, run: Runner = run_bench) -> int:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, IO, Mapping
 
@@ -30,7 +30,6 @@ from .state import (
     MmaState,
     Pair,
     Violation,
-    _is_int,
     trust_adjusted_public_model,
     validate,
 )
@@ -38,6 +37,7 @@ from . import state
 
 # Largest |trust| a scenario document may state.
 TRUST_CAP = 1000
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 class ScenarioParseError(ValueError):
@@ -91,27 +91,22 @@ class Trace:
     error: tuple[str, ...] = ()
 
 
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ScenarioParseError(msg)
-
-
 def _as_attacks(raw: Any, where: str) -> frozenset[tuple[str, str]]:
-    _expect(isinstance(raw, list), f"{where} must be a list of [source, target] pairs")
-    out = set()
+    if not isinstance(raw, list):
+        raise ScenarioParseError(f"{where} must be a list of [source, target] pairs")
     for item in raw:
-        _expect(isinstance(item, list) and len(item) == 2, f"{where}: bad attack entry {item!r}")
-        s, t = item
-        _expect(isinstance(s, str) and isinstance(t, str), f"{where}: bad attack entry {item!r}")
-        out.add((s, t))
-    return frozenset(out)
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise ScenarioParseError(f"{where}: bad attack entry {item!r}")
+    return frozenset(map(tuple, raw))
 
 
 def _as_frame(raw: Any, where: str, make: Callable[..., Any] = ArgumentationFrame) -> Any:
     """``make(args, attacks)`` from an object with args/attacks; its ``ValueError`` becomes a parse error."""
-    _expect(isinstance(raw, dict), f"{where} must be an object with args/attacks")
+    if not isinstance(raw, dict):
+        raise ScenarioParseError(f"{where} must be an object with args/attacks")
     args = raw.get("args", [])
-    _expect(isinstance(args, list) and all(isinstance(a, str) for a in args), f"{where}: args must be a list of ids")
+    if not (isinstance(args, list) and all(isinstance(a, str) for a in args)):
+        raise ScenarioParseError(f"{where}: args must be a list of ids")
     attacks = _as_attacks(raw.get("attacks", []), where)
     try:
         return make(frozenset(args), attacks)
@@ -120,14 +115,18 @@ def _as_frame(raw: Any, where: str, make: Callable[..., Any] = ArgumentationFram
 
 
 def _matrix(raw: Any, agents: list[str], where: str) -> dict[Pair, Any]:
-    _expect(isinstance(raw, dict), f"{where} must map viewer -> subject -> value")
+    if not isinstance(raw, dict):
+        raise ScenarioParseError(f"{where} must map viewer -> subject -> value")
     out: dict[Pair, Any] = {}
     for v in agents:
-        _expect(v in raw, f"{where}: missing row for agent {v}")
+        if v not in raw:
+            raise ScenarioParseError(f"{where}: missing row for agent {v}")
         row = raw[v]
-        _expect(isinstance(row, dict), f"{where}: row for {v} must be an object")
+        if not isinstance(row, dict):
+            raise ScenarioParseError(f"{where}: row for {v} must be an object")
         for s in agents:
-            _expect(s in row, f"{where}: missing entry ({v},{s})")
+            if s not in row:
+                raise ScenarioParseError(f"{where}: missing entry ({v},{s})")
             out[(v, s)] = row[s]
     return out
 
@@ -136,35 +135,47 @@ def parse_scenario(doc: Any) -> Scenario:
     """Build and validate a scenario from a decoded JSON document.
 
     :data:`TRUST_CAP` bounds the trust values the document states; trust
-    revision during a replay may carry a value past it.
+    revision during a replay may carry a value past it.  Each check costs one
+    test when it passes; its message is built only where it is raised.
     """
-    _expect(isinstance(doc, dict), "scenario document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise ScenarioParseError("scenario document must be a JSON object")
     for key in ("arguments", "global_attacks", "scopes", "awareness", "gsem", "factual", "trust", "script"):
-        _expect(key in doc, f"missing top-level key {key!r}")
-    _expect(isinstance(doc.get("notes", ""), str), "notes must be a string")
+        if key not in doc:
+            raise ScenarioParseError(f"missing top-level key {key!r}")
+    if not isinstance(doc.get("notes", ""), str):
+        raise ScenarioParseError("notes must be a string")
 
     owners: dict[str, str] = {}
     labels: dict[str, str] = {}
-    _expect(isinstance(doc["arguments"], list), "arguments must be a list of declarations")
+    if not isinstance(doc["arguments"], list):
+        raise ScenarioParseError("arguments must be a list of declarations")
     for raw in doc["arguments"]:
-        _expect(isinstance(raw, dict) and isinstance(raw.get("id"), str) and isinstance(raw.get("owner"), str)
-                and isinstance(raw.get("label", ""), str), f"bad argument declaration {raw!r}")
-        _expect(raw["id"] != "", "arguments: argument ids must be nonempty strings, got ''")
-        _expect(raw["id"] not in owners, f"duplicate argument id {raw['id']!r}")
-        owners[raw["id"]] = raw["owner"]
+        if not (isinstance(raw, dict) and isinstance(raw.get("id"), str) and isinstance(raw.get("owner"), str)
+                and isinstance(raw.get("label", ""), str)):
+            raise ScenarioParseError(f"bad argument declaration {raw!r}")
+        a = raw["id"]
+        if not a:
+            raise ScenarioParseError("arguments: argument ids must be nonempty strings, got ''")
+        if a in owners:
+            raise ScenarioParseError(f"duplicate argument id {a!r}")
+        owners[a] = raw["owner"]
         if raw.get("label"):
-            labels[raw["id"]] = raw["label"]
+            labels[a] = raw["label"]
     arg_ids = frozenset(owners)
 
     scopes_raw = doc["scopes"]
-    _expect(isinstance(scopes_raw, dict) and scopes_raw, "scopes must be a nonempty object")
+    if not (isinstance(scopes_raw, dict) and scopes_raw):
+        raise ScenarioParseError("scopes must be a nonempty object")
     agents = sorted(scopes_raw)
     for a, owner in owners.items():
-        _expect(owner in scopes_raw, f"argument {a} owned by unknown agent {owner!r}")
+        if owner not in scopes_raw:
+            raise ScenarioParseError(f"argument {a} owned by unknown agent {owner!r}")
     listed_in: dict[str, list[str]] = {}
     for e in agents:
         listed = scopes_raw[e]
-        _expect(isinstance(listed, list) and all(isinstance(a, str) for a in listed), f"scope of {e} must be a list of ids")
+        if not (isinstance(listed, list) and all(isinstance(a, str) for a in listed)):
+            raise ScenarioParseError(f"scope of {e} must be a list of ids")
         for a in listed:
             listed_in.setdefault(a, []).append(e)
     overlaps = [
@@ -175,55 +186,62 @@ def parse_scenario(doc: Any) -> Scenario:
     if overlaps:
         raise ScenarioValidationError(overlaps)
     for e in agents:
-        owned = {a for a, owner in owners.items() if owner == e}
-        _expect(set(scopes_raw[e]) == owned, f"scope of {e} disagrees with the declared owners")
+        if set(scopes_raw[e]) != {a for a, owner in owners.items() if owner == e}:
+            raise ScenarioParseError(f"scope of {e} disagrees with the declared owners")
 
     global_attacks = _as_attacks(doc["global_attacks"], "global_attacks")
     for s, t in sorted(global_attacks):
-        _expect(s in arg_ids and t in arg_ids, f"global attack ({s},{t}) uses an undeclared argument")
+        if s not in arg_ids or t not in arg_ids:
+            raise ScenarioParseError(f"global attack ({s},{t}) uses an undeclared argument")
     global_af = ArgumentationFrame(arg_ids, global_attacks)
     scope = {e: frozenset(scopes_raw[e]) for e in agents}
 
     aware_raw = doc["awareness"]
-    _expect(isinstance(aware_raw, dict) and set(aware_raw) == set(agents), "awareness must cover exactly the agents")
+    if not (isinstance(aware_raw, dict) and aware_raw.keys() == scope.keys()):
+        raise ScenarioParseError("awareness must cover exactly the agents")
     aware = {e: _as_frame(aware_raw[e], f"awareness of {e}") for e in agents}
     for e in agents:
-        _expect(aware[e].args <= arg_ids, f"awareness of {e} uses undeclared arguments")
+        if not aware[e].args <= arg_ids:
+            raise ScenarioParseError(f"awareness of {e} uses undeclared arguments")
 
     public_af = _as_frame(doc.get("public", {}), "public")
-    _expect(public_af.args <= arg_ids, "public frame uses undeclared arguments")
+    if not public_af.args <= arg_ids:
+        raise ScenarioParseError("public frame uses undeclared arguments")
 
-    gsem_raw = _matrix(doc["gsem"], agents, "gsem")
     sem_model: dict[Pair, SemanticsKind] = {}
-    for pair, value in gsem_raw.items():
+    for pair, value in _matrix(doc["gsem"], agents, "gsem").items():
         try:
             sem_model[pair] = SemanticsKind(value)
         except ValueError as exc:
             raise ScenarioParseError(f"gsem{pair}: unknown semantics {value!r}") from exc
 
-    factual_raw = _matrix(doc["factual"], agents, "factual")
     intra: dict[Pair, IntraPreference] = {}
-    for (v, s), listed in factual_raw.items():
-        _expect(isinstance(listed, list) and all(isinstance(a, str) for a in listed), f"factual({v},{s}) must be a list of ids")
-        intra[(v, s)] = IntraPreference.of(listed)
+    for (v, s), listed in _matrix(doc["factual"], agents, "factual").items():
+        if not (isinstance(listed, list) and all(isinstance(a, str) for a in listed)):
+            raise ScenarioParseError(f"factual({v},{s}) must be a list of ids")
+        intra[(v, s)] = IntraPreference(frozenset(listed))
 
-    trust_raw = _matrix(doc["trust"], agents, "trust")
     violations: list[Violation] = []
     trust: dict[Pair, int] = {}
-    for pair, value in trust_raw.items():
-        _expect(_is_int(value), f"trust{pair} must be an integer")
+    for pair, value in _matrix(doc["trust"], agents, "trust").items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioParseError(f"trust{pair} must be an integer")
         if abs(value) > TRUST_CAP:
             violations.append(Violation("trust range", f"trust{pair} = {value} exceeds the cap {TRUST_CAP}"))
         trust[pair] = value
 
     overrides: dict[Pair, ArgumentationFrame] = {}
     overrides_raw = doc.get("omega_overrides", {})
-    _expect(isinstance(overrides_raw, dict), "omega_overrides must map viewer -> subject -> frame")
+    if not isinstance(overrides_raw, dict):
+        raise ScenarioParseError("omega_overrides must map viewer -> subject -> frame")
     for v, row in overrides_raw.items():
-        _expect(v in scopes_raw, f"omega override row for unknown agent {v!r}")
-        _expect(isinstance(row, dict), f"omega overrides of {v} must be an object")
+        if v not in scopes_raw:
+            raise ScenarioParseError(f"omega override row for unknown agent {v!r}")
+        if not isinstance(row, dict):
+            raise ScenarioParseError(f"omega overrides of {v} must be an object")
         for s, raw in row.items():
-            _expect(s in scopes_raw, f"omega override ({v},{s}) names unknown agent {s!r}")
+            if s not in scopes_raw:
+                raise ScenarioParseError(f"omega override ({v},{s}) names unknown agent {s!r}")
             overrides[(v, s)] = _as_frame(raw, f"omega override ({v},{s})")
 
     initial = MmaState(
@@ -241,18 +259,21 @@ def parse_scenario(doc: Any) -> Scenario:
         raise ScenarioValidationError(violations)
 
     script = []
-    _expect(isinstance(doc["script"], list), "script must be a list of events")
+    if not isinstance(doc["script"], list):
+        raise ScenarioParseError("script must be a list of events")
     for i, raw in enumerate(doc["script"], 1):
-        _expect(isinstance(raw, dict), f"script step {i} must be an object")
+        if not isinstance(raw, dict):
+            raise ScenarioParseError(f"script step {i} must be an object")
         announcers = raw.get("announcers", [])
-        _expect(isinstance(announcers, list) and announcers and all(isinstance(a, str) for a in announcers),
-                f"script step {i}: announcers must be a nonempty list")
-        _expect(set(announcers) <= set(agents), f"script step {i}: unknown announcer")
-        script.append(_as_frame({"args": raw.get("args", []), "attacks": raw.get("attacks", [])}, f"script step {i}",
-                                functools.partial(AnnouncementEvent, announcers=frozenset(announcers))))
+        if not (isinstance(announcers, list) and announcers and all(isinstance(a, str) for a in announcers)):
+            raise ScenarioParseError(f"script step {i}: announcers must be a nonempty list")
+        if not set(announcers) <= scope.keys():
+            raise ScenarioParseError(f"script step {i}: unknown announcer")
+        script.append(_as_frame(raw, f"script step {i}", functools.partial(AnnouncementEvent, announcers=frozenset(announcers))))
 
     policy_raw = doc.get("policy", {})
-    _expect(isinstance(policy_raw, dict), "policy must be an object")
+    if not isinstance(policy_raw, dict):
+        raise ScenarioParseError("policy must be an object")
     deltas = [policy_raw.get(key, 1) for key in ("honest", "dishonest")]
     try:
         policy = TrustPolicy(*deltas)
@@ -277,15 +298,14 @@ def fixture_path(name: str) -> str:
     """Filesystem path of a bundled scenario (name with or without .json)."""
     if not name.endswith(".json"):
         name += ".json"
-    ref = resources.files("mmarg").joinpath("fixtures", name)
-    if not ref.is_file():
+    path = os.path.join(FIXTURES, name)
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"no bundled scenario named {name!r}")
-    return str(ref)
+    return path
 
 
 def bundled_scenarios() -> list[str]:
-    ref = resources.files("mmarg").joinpath("fixtures")
-    return sorted(p.name[: -len(".json")] for p in ref.iterdir() if p.name.endswith(".json"))
+    return sorted(n[: -len(".json")] for n in os.listdir(FIXTURES) if n.endswith(".json"))
 
 
 # ---------------------------------------------------------------------------

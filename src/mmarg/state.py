@@ -142,6 +142,8 @@ def validate(m: MmaState) -> list[Violation]:
         if v not in m.agents or s not in m.agents:
             out.append(Violation("structure", f"override ({v},{s}) names an unknown agent"))
             continue
+        if v not in m.aware:  # reported above as "agent {v} has no awareness"
+            continue
         if v == s:
             if om != m.aware[v]:
                 out.append(Violation("epistemic bounds", f"self override for {v} must equal its awareness frame"))

@@ -71,3 +71,49 @@ def test_an_incorrect_run_makes_the_exit_status_nonzero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "change run of pair 2 reports incorrect outputs" in captured.err
     assert "failed 0/3" in captured.out
+
+
+def summary(base_values, change_values, capsys, tmp_path):
+    run, _ = fake_runner(ROOT, base_values, change_values)
+    argv = [str(ROOT), str(tmp_path), "--workload", "cli-session", "--seed", "0", "--seconds", "20",
+            "--pairs", str(len(base_values))]
+    assert ab_bench.main(argv, run=run) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return {name: next(line for line in lines if line.startswith(name + " (")) for name in METRICS}
+
+
+def test_nine_wins_in_ten_beyond_the_base_quartiles_show_a_gain(tmp_path, capsys):
+    base = [100, 104, 98, 101, 99, 103, 97, 102, 100, 105]
+    change = [120, 118, 121, 119, 96, 122, 117, 120, 123, 119]
+    lines = summary(base, change, capsys, tmp_path)
+    assert "change wins 9 of 10" in lines["ops_per_s"]
+    assert lines["ops_per_s"].endswith("  gain shown")
+    # Every other metric reads the same on both sides.
+    assert all(lines[name].endswith("  no change shown") for name in METRICS if name != "ops_per_s")
+
+
+def test_eight_wins_or_a_median_inside_the_quartiles_show_no_change(tmp_path, capsys):
+    base = [100, 104, 98, 101, 99, 103, 97, 102, 100, 105]
+    eight = [120, 118, 121, 119, 96, 122, 95, 120, 123, 119]
+    assert summary(base, eight, capsys, tmp_path)["ops_per_s"].endswith("  no change shown")
+    close = [x + 0.5 for x in base]
+    line = summary(base, close, capsys, tmp_path)["ops_per_s"]
+    assert "change wins 10 of 10" in line and line.endswith("  no change shown")
+
+
+def test_a_median_past_the_bound_reads_worse_than_bound(tmp_path, capsys):
+    base = [100, 104, 98, 101]
+    assert summary(base, [74, 76, 70, 80], capsys, tmp_path)["ops_per_s"].endswith("  worse than bound")
+    # 0.25 is the bound of ops_per_s: a median 24% lower is within it.
+    assert summary(base, [76, 77, 75, 78], capsys, tmp_path)["ops_per_s"].endswith("  no change shown")
+
+
+def test_a_lower_is_better_metric_reads_its_gain_and_its_bound_downward():
+    metric = {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+    assert ab_bench.verdict(-1, metric["bound"], 1.0, (9.0, 10.0, 11.0), 7.5) == "gain shown"
+    # Below the first quartile, but by less than the quartile range from the median.
+    assert ab_bench.verdict(-1, metric["bound"], 1.0, (9.0, 10.0, 11.0), 8.5) == "no change shown"
+    assert ab_bench.verdict(-1, metric["bound"], 0.8, (9.0, 10.0, 11.0), 7.5) == "no change shown"
+    assert ab_bench.verdict(-1, metric["bound"], 1.0, (9.0, 10.0, 11.0), 9.5) == "no change shown"
+    assert ab_bench.verdict(-1, metric["bound"], 0.0, (9.0, 10.0, 11.0), 12.6) == "worse than bound"
+    assert ab_bench.verdict(-1, metric["bound"], 0.0, (9.0, 10.0, 11.0), 12.4) == "no change shown"

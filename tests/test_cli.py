@@ -32,6 +32,14 @@ def test_validate_resolves_bundled_names(capsys):
     assert main(["validate", "mafia_endgame"]) == EX_OK
 
 
+def test_a_file_in_the_working_directory_comes_before_a_bundled_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mafia_endgame").write_text("{")
+    assert main(["validate", "mafia_endgame"]) == EX_PARSE
+    assert capsys.readouterr().err.startswith("parse error: invalid JSON: ")
+    assert main(["validate", "mafia_endgame.json"]) == EX_OK
+
+
 def test_validate_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")

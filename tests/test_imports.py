@@ -77,3 +77,39 @@ def test_a_verdict_is_computed_only_by_the_replay_step():
     # A second entry to `_verdict` (a one-pair `detect`, say) fails here.
     assert not naming_modules({"_verdict"}, SRC / "dynamics.py")
     assert callers_of(SRC / "dynamics.py", {"_verdict"}) == {"_verdict": ["_step"]}
+
+
+PARSE_HELPERS = {"load_scenario", "parse_scenario", "_as_attacks", "_as_frame", "_matrix"}
+
+
+def eager_messages(path: Path, functions: set[str]) -> list[tuple[str, int]]:
+    """(function, line) of every message built outside a ``raise`` statement in ``functions``:
+    an f-string with a ``!r`` conversion, a ``.format`` call, a ``%`` on a string or a ``repr`` call."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if getattr(top, "name", None) not in functions:
+            continue
+        raised = {id(node) for stmt in ast.walk(top) if isinstance(stmt, ast.Raise) for node in ast.walk(stmt)}
+        for node in ast.walk(top):
+            eager = (
+                isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "format"
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "repr"
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and (
+                    isinstance(node.left, ast.JoinedStr)
+                    or isinstance(node.left, ast.Constant) and isinstance(node.left.value, str))
+            )
+            if eager and id(node) not in raised:
+                found.append((top.name, node.lineno))
+    return found
+
+
+def test_parse_checks_build_their_message_only_when_they_raise():
+    tops = {getattr(top, "name", None) for top in ast.parse((SRC / "scenario.py").read_text(encoding="utf-8")).body}
+    assert PARSE_HELPERS <= tops
+    assert eager_messages(SRC / "scenario.py", PARSE_HELPERS) == []
+
+
+def test_no_library_module_imports_importlib():
+    # Bundled fixtures are found by path beside scenario.py, not through importlib.resources.
+    assert not {p.name for p in SRC.glob("*.py") if "importlib" in absolute_imports(p)}

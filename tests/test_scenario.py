@@ -1,5 +1,7 @@
 import json
+import os
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 from typing import Any
 
@@ -53,9 +55,19 @@ def test_bundled_listing_contains_the_variants():
         assert fixture_path(name).endswith(name + ".json")
 
 
+def test_fixture_path_is_the_packaged_resource():
+    names = bundled_scenarios()
+    assert len(names) == 4
+    for name in names:
+        packaged = resources.files("mmarg") / "fixtures" / (name + ".json")
+        assert os.path.samefile(fixture_path(name), str(packaged))
+        assert fixture_path(name + ".json") == fixture_path(name)
+
+
 def test_fixture_path_rejects_unknown_name():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError) as err:
         fixture_path("no_such_scenario")
+    assert str(err.value) == "no bundled scenario named 'no_such_scenario.json'"
 
 
 def test_round_trip_is_semantically_identical(mafia):

@@ -194,6 +194,12 @@ def test_self_override_must_equal_awareness():
     assert validate(m3) == []
 
 
+@pytest.mark.parametrize("pair", [("e2", "e1"), ("e2", "e2")])
+def test_override_by_a_viewer_without_awareness_is_reported_once(pair):
+    m = two_agent_state(aware={"e1": two_agent_state().aware["e1"]}, overrides={pair: f(["a1", "b1"])})
+    assert [str(v) for v in validate(m)] == ["(structure) agent e2 has no awareness"]
+
+
 def test_perceived_unknown_agent_rejected(mafia):
     with pytest.raises(ValueError):
         perceived(mafia.initial, "e1", "zz")
