@@ -8,13 +8,8 @@ plus a scenario file format and CLI to replay games deterministically.
 
 from .frames import ArgumentationFrame, combine, restrict
 from .semantics import (
-    CREDULOUS,
-    SKEPTICAL,
     ExtensionSet,
     SemanticsKind,
-    acceptance,
-    defends,
-    is_conflict_free,
     semantics,
     sorted_extensions,
 )

@@ -59,6 +59,7 @@ class AnnouncementEvent:
         _check_ids(args)
         for s, t in self.attacks:
             if s not in args and t not in args:
+                s, t = min(((s, t) for s, t in self.attacks if s not in args and t not in args), key=repr)
                 raise ValueError(f"attack ({s},{t}) touches no argument of the frame")
         if not self.announcers:
             raise ValueError("an announcement needs at least one announcer")

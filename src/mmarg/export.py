@@ -1,9 +1,10 @@
 """DOT export of a state's views, for standard graph renderers.
 
 One node per argument, one directed edge per attack; publicly announced
-arguments are drawn filled and each agent's scope arguments are grouped in
-a cluster.  A selector is a view name from :data:`mmarg.state.VIEWS`
-followed by its agents, separated by colons (``local:e2:e1``).
+arguments are drawn filled, and each argument sits in the cluster of the one
+scope that holds it (:func:`mmarg.state.validate` checks there is one).  A
+selector is a view name from :data:`mmarg.state.VIEWS` followed by its
+agents, separated by colons (``local:e2:e1``).
 """
 
 from __future__ import annotations
@@ -20,19 +21,15 @@ def to_dot(m: MmaState, frame: ArgumentationFrame, labels: dict[str, str] | None
     """Render one frame of a state as a DOT digraph."""
     labels = labels or {}
     lines = [f"digraph {_quote(title)} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
-    grouped: set[str] = set()
     for e in sorted(m.agents):
         members = sorted(frame.args & m.scope[e])
         if not members:
             continue
-        grouped.update(members)
         lines.append(f"  subgraph {_quote('cluster_' + e)} {{")
         lines.append(f"    label={_quote('scope ' + e)};")
         for a in members:
             lines.append("    " + _node_line(a, labels.get(a, ""), a in m.public_af.args))
         lines.append("  }")
-    for a in sorted(frame.args - grouped):
-        lines.append("  " + _node_line(a, labels.get(a, ""), a in m.public_af.args))
     for s, t in sorted(frame.attacks):
         lines.append(f"  {_quote(s)} -> {_quote(t)};")
     lines.append("}")

@@ -19,10 +19,11 @@ Attack = tuple[str, str]
 
 
 def _check_ids(args: Iterable[object]) -> None:
-    """Raise ``ValueError`` for the first argument id that is not a nonempty string."""
+    """Raise ``ValueError`` naming the least (by ``repr``) argument id that is not a nonempty string."""
     for a in args:
         if not isinstance(a, str) or not a:
-            raise ValueError(f"argument ids must be nonempty strings, got {a!r}")
+            least = min((b for b in args if not isinstance(b, str) or not b), key=repr)
+            raise ValueError(f"argument ids must be nonempty strings, got {least!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class ArgumentationFrame:
         _check_ids(args)
         for s, t in self.attacks:
             if s not in args or t not in args:
+                s, t = min(((s, t) for s, t in self.attacks if s not in args or t not in args), key=repr)
                 raise ValueError(f"attack ({s},{t}) dangles outside a closed frame")
 
     @classmethod

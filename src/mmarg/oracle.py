@@ -2,10 +2,12 @@
 
 Everything here works by enumerating all subsets of the argument set and
 testing the defining clauses literally (conflict-freeness, defense of all
-members, containment of everything defended).  It is intentionally naive
-and shares no enumeration code with :mod:`mmarg.semantics`; disagreement
-between the two on any frame is a bug in one of them.  Every frame is
-closed, so any frame of at most :data:`MAX_ORACLE_ARGS` arguments is input.
+members, containment of everything defended); ``_conflict_free`` and
+``_defends`` are the library's only statement of those clauses.  It is
+intentionally naive and shares no enumeration code with
+:mod:`mmarg.semantics`; disagreement between the two on any frame is a bug
+in one of them.  Every frame is closed, so any frame of at most
+:data:`MAX_ORACLE_ARGS` arguments is input.
 """
 
 from __future__ import annotations

@@ -68,13 +68,13 @@ def adjust(f: ArgumentationFrame, order: IntraPreference | InterPreference) -> A
 def derive_inter(m: "MmaState", e: str) -> InterPreference:
     """The trust order of agent ``e`` over mutually conflicting public arguments.
 
-    A pair of arguments qualifies when they attack each other publicly, each
-    lies in some agent's scope and inside ``e``'s awareness, and ``e`` holds
-    neither to be factual; the argument of the strictly less trusted owner
-    then sits below the other's, and equally trusted owners leave the pair
-    unordered.  Recomputed on demand: both the public record and the trust
-    matrix move under updates.  The argument -> owner map is built only once
-    some pair has passed the other filters.
+    A pair of arguments qualifies when they attack each other publicly, both
+    lie inside ``e``'s awareness, and ``e`` holds neither to be factual; the
+    argument of the strictly less trusted owner (every argument of a valid
+    state has exactly one) then sits below the other's, and equally trusted
+    owners leave the pair unordered.  Recomputed on demand: both the public
+    record and the trust matrix move under updates.  The argument -> owner
+    map is built only once some pair has passed the other filters.
     """
     if e not in m.agents:
         raise ValueError(f"unknown agent: {e!r}")
@@ -92,8 +92,6 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
             continue
         if owner is None:
             owner = {a: agent for agent in m.agents for a in m.scope[agent]}
-        if a1 not in owner or a2 not in owner:
-            continue
         if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
             strict.add((a1, a2))
     return InterPreference(frozenset(strict))

@@ -31,34 +31,6 @@ class SemanticsKind(str, enum.Enum):
     GROUNDED = "grounded"
 
 
-CREDULOUS = "credulous"
-SKEPTICAL = "skeptical"
-
-
-def _require_members(s: Iterable[str], f: ArgumentationFrame) -> frozenset[str]:
-    s = frozenset(s)
-    unknown = s - f.args
-    if unknown:
-        raise ValueError(f"arguments not in frame: {sorted(unknown)}")
-    return s
-
-
-def is_conflict_free(s: Iterable[str], f: ArgumentationFrame) -> bool:
-    """No member of ``s`` attacks a member of ``s`` (self-attacks count)."""
-    s = _require_members(s, f)
-    return not any(a in s and b in s for a, b in f.attacks)
-
-
-def defends(s: Iterable[str], a: str, f: ArgumentationFrame) -> bool:
-    """Every attacker of ``a`` is counter-attacked by some member of ``s``."""
-    s = _require_members(s, f)
-    (a,) = _require_members([a], f)
-    for x, y in f.attacks:
-        if y == a and not any((z, x) in f.attacks for z in s):
-            return False
-    return True
-
-
 def _index(f: ArgumentationFrame) -> tuple[list[str], list[int], list[int]]:
     order = sorted(f.args)
     pos = {a: i for i, a in enumerate(order)}
@@ -173,17 +145,6 @@ def semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
     if kind is SemanticsKind.PREFERRED:
         masks = [m for m in masks if not any(m != m2 and m | m2 == m2 for m2 in masks)]
     return _masks_to_extensions(masks, order)
-
-
-def acceptance(a: str, kind: SemanticsKind, f: ArgumentationFrame, mode: str = CREDULOUS) -> bool:
-    """Credulous (some extension) or skeptical (every extension) acceptance."""
-    _require_members([a], f)
-    exts = semantics(kind, f)
-    if mode == CREDULOUS:
-        return any(a in ext for ext in exts)
-    if mode == SKEPTICAL:
-        return all(a in ext for ext in exts)
-    raise ValueError(f"unknown acceptance mode: {mode!r}")
 
 
 def sorted_extensions(exts: ExtensionSet) -> list[list[str]]:

@@ -34,7 +34,7 @@ class Violation:
     condition: str
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"({self.condition}) {self.detail}"
 
 
@@ -81,11 +81,11 @@ def validate(m: MmaState) -> list[Violation]:
     """All structural violations of the snapshot; empty means well formed.
 
     Conditions are named after what they guard: scope/awareness/public
-    nesting, scope disjointness, factual arguments inside their holder's
-    awareness, knowledge propagation of facts into their owner's scope, and
-    the epistemic bounds on explicit opponent-model overrides.  Trust
-    entries are integers (not ``bool``); the trust order between agents is
-    derived on demand and needs no check.
+    nesting, scopes that partition the global frame, factual arguments
+    inside their holder's awareness, knowledge propagation of facts into
+    their owner's scope, and the epistemic bounds on explicit
+    opponent-model overrides.  Trust entries are integers (not ``bool``);
+    the trust order between agents is derived on demand and needs no check.
     """
     out: list[Violation] = []
 
@@ -114,6 +114,9 @@ def validate(m: MmaState) -> list[Violation]:
             shared = m.scope[e1] & m.scope[e2]
             if shared:
                 out.append(Violation("local scopes", f"scopes of {e1} and {e2} share arguments {sorted(shared)}"))
+    uncovered = m.global_af.args.difference(*m.scope.values())
+    if uncovered:
+        out.append(Violation("local scopes", f"arguments {sorted(uncovered)} of the global frame lie in no scope"))
 
     for pair in itertools.product(order, repeat=2):
         v, s = pair

@@ -250,6 +250,18 @@ def test_oracle_check(capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
+def test_oracle_check_reports_each_mismatch_and_exits_1(monkeypatch, capsys):
+    # A solver that finds no preferred extension: every trial mismatches once, on that kind.
+    real = cli.semantics
+    monkeypatch.setattr(cli, "semantics", lambda kind, f: frozenset() if kind is SemanticsKind.PREFERRED else real(kind, f))
+    assert main(["oracle-check", "--max-args", "4", "--seed", "1", "--trials", "3"]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "oracle-check: 3 random frames (max 4 args, seed 1), 3 mismatches\n"
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"MISMATCH trial {k} kind preferred" for k in (1, 2, 3)]
+    assert all(" solver [] oracle [[" in line for line in lines)
+
+
 @pytest.mark.parametrize("args", [
     ["--max-args", "0"],
     ["--max-args", "-1"],

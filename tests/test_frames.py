@@ -153,6 +153,12 @@ BUILD = {
         ({"a", 7}, [], "event", "argument ids must be nonempty strings, got 7"),
         ({"a", ""}, [], "event", "argument ids must be nonempty strings, got ''"),
         ({"a"}, [("a", "z")], "unannounced", "an announcement needs at least one announcer"),
+        # Several offenders: the least by repr is named, whatever the set order.
+        ({"a1"}, [("a1", "a3"), ("a1", "a4"), ("a5", "a1"), ("a2", "a1")], "dung",
+         "attack (a1,a3) dangles outside a closed frame"),
+        ({"a", None, 7, "", 3.5}, [], "dung", "argument ids must be nonempty strings, got ''"),
+        ({"a"}, [("y", "z"), ("x", "w"), ("b", "c"), ("b", "a")], "event", "attack (b,c) touches no argument of the frame"),
+        ({"a", None, 7, 3.5}, [], "event", "argument ids must be nonempty strings, got 3.5"),
     ],
 )
 def test_frame_names_the_offender(args, attacks, built, message):

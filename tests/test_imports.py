@@ -1,5 +1,5 @@
 """The library imports nothing outside the standard library, its search has one entry, ``semantics``,
-and a verdict is computed in one place, ``dynamics._step``."""
+the solver's module defines nothing else public, and a verdict is computed in one place, ``dynamics._step``."""
 
 import ast
 import sys
@@ -71,6 +71,24 @@ def test_the_search_is_entered_only_through_semantics():
     assert callers["_index"] == ["semantics"]
     assert set(callers["_complete_masks"]) == {"semantics"}
     assert set(callers["_grounded_mask"]) == {"semantics", "_complete_masks"}
+
+
+def defined_names(path: Path) -> set[str]:
+    """Every name one module binds at top level by a ``def``, a ``class`` or an assignment."""
+    names = set()
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names.update(node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name))
+    return names
+
+
+def test_the_solver_module_defines_only_the_solver():
+    # The clause tests (conflict-free, defends) live in the oracle, and detection never asks for acceptance.
+    public = {name for name in defined_names(SRC / "semantics.py") if not name.startswith("_")}
+    assert public == {"ExtensionSet", "SemanticsKind", "semantics", "sorted_extensions"}
 
 
 def test_a_verdict_is_computed_only_by_the_replay_step():

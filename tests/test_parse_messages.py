@@ -12,11 +12,10 @@ Two goldens under ``tests/data/``:
 Both were written by the code before its checks were rewritten.  Regenerate
 them only when a message is meant to change::
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_parse_messages.py
+    PYTHONPATH=src python tests/test_parse_messages.py
 
-When a frame holds several bad attacks, the message names the first one in
-set iteration order, which follows the string hash seed; so the corpus is
-replayed in a child process with ``PYTHONHASHSEED=0``.
+No outcome may depend on the string hash seed, so the corpus is replayed in
+child processes under several values of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -205,13 +204,21 @@ def test_every_raise_site_keeps_its_message():
 
 
 def test_the_seeded_corpus_keeps_every_outcome():
+    # Hash seeds 0-3 and one drawn at random, each in its own child, all at once.
     want = json.loads(CORPUS.read_text(encoding="utf-8"))
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    child = subprocess.run([sys.executable, __file__, "--print-corpus"], env=env, capture_output=True, text=True, check=True)
-    got = json.loads(child.stdout)
-    assert len(got) == len(want) == CORPUS_SIZE
-    diffs = [(i, w, g) for i, (w, g) in enumerate(zip(want, got)) if w != g]
-    assert not diffs, f"{len(diffs)} outcomes differ; first: {diffs[0]}"
+    src = str(Path(__file__).parents[1] / "src")
+    children = {
+        seed: subprocess.Popen([sys.executable, __file__, "--print-corpus"], stdout=subprocess.PIPE, text=True,
+                               env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src))
+        for seed in (0, 1, 2, 3, random.randrange(4, 2**32))
+    }
+    outputs = {seed: child.communicate()[0] for seed, child in children.items()}
+    for seed, out in outputs.items():
+        assert children[seed].returncode == 0, f"PYTHONHASHSEED={seed}: exit {children[seed].returncode}"
+        got = json.loads(out)
+        assert len(got) == len(want) == CORPUS_SIZE
+        diffs = [(i, w, g) for i, (w, g) in enumerate(zip(want, got)) if w != g]
+        assert not diffs, f"PYTHONHASHSEED={seed}: {len(diffs)} outcomes differ; first: {diffs[0]}"
 
 
 def test_the_corpus_reaches_every_outcome():
@@ -229,8 +236,6 @@ def _write(path: Path, rows: Any) -> None:
 
 
 if __name__ == "__main__":
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        sys.exit("run with PYTHONHASHSEED=0")
     if sys.argv[1:] == ["--print-corpus"]:
         json.dump(corpus(), sys.stdout)
     else:

@@ -73,6 +73,29 @@ def test_overlapping_scopes_flagged():
     assert "local scopes" in conditions(validate(m))
 
 
+def messages(m):
+    return [str(v) for v in validate(m)]
+
+
+def test_every_global_argument_lies_in_a_scope():
+    m = two_agent_state(scope={"e1": frozenset({"a1"}), "e2": frozenset({"b1"})})
+    assert messages(m) == ["(local scopes) arguments ['a2'] of the global frame lie in no scope"]
+
+
+def test_scope_outside_the_global_frame_flagged():
+    m = two_agent_state(scope={"e1": frozenset({"a1", "a2"}), "e2": frozenset({"b1", "zz"})})
+    assert messages(m) == ["(structure) scope of e2 lists arguments outside the global frame"]
+
+
+def test_public_frame_outside_the_global_frame_flagged():
+    # A public self-attack on a1 that the global frame lacks; the awareness
+    # frames hold it too, so they subsume the public record.
+    loop = [("a1", "a1"), ("a1", "b1"), ("b1", "a1")]
+    m = two_agent_state(public_af=f(["a1", "b1"], loop),
+                        aware={"e1": f(["a1", "a2", "b1"], loop), "e2": f(["a1", "b1"], loop)})
+    assert "(structure) public frame is not a sub-frame of the global frame" in messages(m)
+
+
 def test_scope_attacks_must_match_global_restriction():
     # e1's scope attacks are the global ones between its arguments, here the
     # mutual conflict between a1 and a2; e1's awareness misses them.
@@ -194,6 +217,12 @@ def test_self_override_must_equal_awareness():
     assert validate(m3) == []
 
 
+@pytest.mark.parametrize("pair", [("e1", "zz"), ("zz", "e1")])
+def test_override_naming_an_unknown_agent_flagged(pair):
+    m = two_agent_state(overrides={pair: f(["a1", "b1"], [("a1", "b1"), ("b1", "a1")])})
+    assert messages(m) == [f"(structure) override ({pair[0]},{pair[1]}) names an unknown agent"]
+
+
 @pytest.mark.parametrize("pair", [("e2", "e1"), ("e2", "e2")])
 def test_override_by_a_viewer_without_awareness_is_reported_once(pair):
     m = two_agent_state(aware={"e1": two_agent_state().aware["e1"]}, overrides={pair: f(["a1", "b1"])})
@@ -203,6 +232,12 @@ def test_override_by_a_viewer_without_awareness_is_reported_once(pair):
 def test_perceived_unknown_agent_rejected(mafia):
     with pytest.raises(ValueError):
         perceived(mafia.initial, "e1", "zz")
+
+
+@pytest.mark.parametrize("pair", [("e1", "zz"), ("zz", "e1")])
+def test_public_model_unknown_agent_rejected(mafia, pair):
+    with pytest.raises(ValueError, match=r"unknown agent pair"):
+        public_model(mafia.initial, *pair)
 
 
 def test_adjusted_perceived_identity_without_facts(mafia):
