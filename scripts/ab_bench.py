@@ -5,12 +5,13 @@ Usage: python3 scripts/ab_bench.py BASE CHANGE --workload W --seed N --seconds S
 
 Runs each checkout's own ``bench/run.py --trace 0`` K times, in pairs
 whose order alternates: BASE runs first in odd pairs, CHANGE in even ones.
-Prints every pair's values, then for each end-to-end metric named in
-BASE's ``BENCHMARK.json`` the median and quartiles of each side, the
-change/base ratio of the medians, how many pairs the change won (ties
-count for neither side) and a verdict: ``gain shown``, ``worse than
-bound`` or ``no change shown`` (see :func:`verdict`).  Exits 1 when any
-run reports ``"correct": false``.
+Prints every pair's values, with each run's failed and attempted op
+counts (``peak_rss_mb`` grows with the ops a run completes), then for each
+end-to-end metric named in BASE's ``BENCHMARK.json`` the median and
+quartiles of each side, the change/base ratio of the medians, how many
+pairs the change won (ties count for neither side) and a verdict: ``gain
+shown``, ``worse than bound`` or ``no change shown`` (see
+:func:`verdict`).  Exits 1 when any run reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def pair_lines(i: int, base: dict, change: dict, metrics: list[dict]) -> list[str]:
     """The values of pair ``i``, ``metrics`` as in ``BENCHMARK.json``'s ``end_to_end``."""
     first = "base" if i % 2 else "change"
-    lines = [f"pair {i} ({first} first): failed {base['failed']}/{change['failed']}"]
+    lines = [f"pair {i} ({first} first): failed {base['failed']}/{change['failed']}  "
+             f"attempted {base['attempted']}/{change['attempted']}"]
     for m in metrics:
         name = m["name"]
         lines.append(f"  {name:12s} base {base['metrics'][name]['value']:12.6g}  change {change['metrics'][name]['value']:12.6g}")

@@ -15,13 +15,14 @@ import random
 import sys
 from dataclasses import replace
 
-from .dynamics import AnnouncementError, TrustPolicy
+from .dynamics import AnnouncementError, TrustPolicy, announce
 from .oracle import MAX_ORACLE_ARGS, oracle_semantics, random_frame
 from .scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
     Trace,
+    _prefix,
     dumps_trace,
     fixture_path,
     load_scenario,
@@ -31,7 +32,7 @@ from .scenario import (
 )
 from .semantics import SemanticsKind, semantics, sorted_extensions
 from .export import export_graph
-from .state import VIEWS
+from .state import VIEWS, MmaState
 
 EX_OK = 0
 EX_VALIDATION = 1
@@ -102,9 +103,17 @@ def cmd_run(ns) -> int:
     return EX_OK
 
 
+def _state(sc: Scenario, at: int, view: str) -> MmaState:
+    """The state after ``at`` script steps, replayed as far as ``view`` reads it.  Only ``trust-adjusted``
+    reads trust, so every other view folds the announcements alone, from a state with no trust entries."""
+    if view.replace("_", "-") == "trust-adjusted":
+        return state_at(sc, at)
+    return functools.reduce(announce, _prefix(sc, at), replace(sc.initial, trust={}))
+
+
 def cmd_query(ns) -> int:
     sc = _load(ns.file)
-    m = state_at(sc, ns.at)
+    m = _state(sc, ns.at, ns.view)
     kind = SemanticsKind(ns.semantics) if ns.semantics else None
     exts = query(m, ns.viewer, ns.subject, ns.view, kind)
     json.dump(sorted_extensions(exts), sys.stdout, indent=2)
@@ -114,7 +123,7 @@ def cmd_query(ns) -> int:
 
 def cmd_export(ns) -> int:
     sc = _load(ns.file)
-    m = state_at(sc, ns.at)
+    m = _state(sc, ns.at, ns.view.split(":")[0])
     _emit(export_graph(m, ns.view, sc.labels), ns.out)
     return EX_OK
 

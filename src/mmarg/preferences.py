@@ -51,7 +51,18 @@ class InterPreference:
         return (a, b) in self.strict
 
 
-def adjust(f: ArgumentationFrame, order: IntraPreference | InterPreference) -> ArgumentationFrame:
+@dataclass(frozen=True)
+class Either:
+    """Two orders asked at once: ``a`` sits below ``b`` when either order puts it there."""
+
+    first: IntraPreference | InterPreference
+    second: IntraPreference | InterPreference
+
+    def strictly_less(self, a: str, b: str) -> bool:
+        return self.first.strictly_less(a, b) or self.second.strictly_less(a, b)
+
+
+def adjust(f: ArgumentationFrame, order: IntraPreference | InterPreference | Either) -> ArgumentationFrame:
     """Reverse every attack whose source is strictly less preferred than its target.
 
     The argument set never changes; a reversed attack may coincide with an
@@ -76,8 +87,7 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
     record and the trust matrix move under updates.  The argument -> owner
     map is built only once some pair has passed the other filters.
     """
-    if e not in m.agents:
-        raise ValueError(f"unknown agent: {e!r}")
+    m.require_agents(e)
     aware_args = m.aware[e].args
     factual = m.intra[(e, e)].factual
     pub = m.public_af.attacks

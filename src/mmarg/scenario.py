@@ -390,16 +390,21 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
     return Trace(tuple(steps), m)
 
 
+def _prefix(sc: Scenario, step: int) -> tuple[AnnouncementEvent, ...]:
+    """The first ``step`` script events; ``ValueError`` unless ``0 <= step <= len(sc.script)``."""
+    if step < 0 or step > len(sc.script):
+        raise ValueError(f"step {step} outside 0..{len(sc.script)}")
+    return sc.script[:step]
+
+
 def state_at(sc: Scenario, step: int) -> MmaState:
     """The state after ``step`` script events (0 = the initial state).
 
     Folds :func:`~mmarg.dynamics.update`, the revised state of each step,
     over exactly the first ``step`` events.
     """
-    if step < 0 or step > len(sc.script):
-        raise ValueError(f"step {step} outside 0..{len(sc.script)}")
     m = sc.initial
-    for ev in sc.script[:step]:
+    for ev in _prefix(sc, step):
         m = update(m, ev, sc.policy)
     return m
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, KeysView, Mapping
 
 from .frames import ArgumentationFrame, combine, restrict
-from .preferences import IntraPreference, adjust, derive_inter
+from .preferences import Either, IntraPreference, adjust, derive_inter
 from .semantics import SemanticsKind
 
 Pair = tuple[str, str]
@@ -64,6 +64,12 @@ class MmaState:
     @property
     def agents(self) -> KeysView[str]:
         return self.scope.keys()
+
+    def require_agents(self, *agents: str) -> None:
+        """Raise ``ValueError`` naming the first of ``agents`` that is not an agent of this state."""
+        for e in agents:
+            if e not in self.scope:
+                raise ValueError(f"unknown agent {e!r}")
 
 
 def perceived_lower_bound(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
@@ -164,8 +170,7 @@ def perceived(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
     Exactly the viewer's own awareness when looking at itself; otherwise an
     explicit override if the snapshot carries one, else the lower bound.
     """
-    if viewer not in m.agents or subject not in m.agents:
-        raise ValueError(f"unknown agent pair ({viewer},{subject})")
+    m.require_agents(viewer, subject)
     if viewer == subject:
         return m.aware[viewer]
     if (viewer, subject) in m.overrides:
@@ -180,26 +185,31 @@ def adjusted_perceived(m: MmaState, viewer: str, subject: str) -> ArgumentationF
 
 def public_model(m: MmaState, viewer: str, subject: str) -> ArgumentationFrame:
     """The public record as the viewer reads it on the subject's behalf."""
-    if viewer not in m.agents or subject not in m.agents:
-        raise ValueError(f"unknown agent pair ({viewer},{subject})")
+    m.require_agents(viewer, subject)
     return adjust(m.public_af, m.intra[(viewer, subject)])
 
 
 def trust_adjusted_public_model(m: MmaState, e: str) -> ArgumentationFrame:
-    """The agent's own public model with its trust order applied on top."""
-    return adjust(public_model(m, e, e), derive_inter(m, e))
+    """The agent's own public model with its trust order applied on top.
+
+    The trust order ranks no argument the agent holds factual, so it reverses
+    no attack the fact split reverses or creates: one ``adjust`` asking both
+    orders builds the frame that adjusting by one and then the other would.
+    """
+    return adjust(m.public_af, Either(derive_inter(m, e), m.intra[(e, e)]))
 
 
 # Every named view of a state, keyed by (name, number of agents it takes).
 # Entries look their accessor up by name at call time, so a caller that
 # rebinds a module attribute (a tracer, a test double) sees every call.
+# Each accessor rejects an unknown agent itself.
 VIEWS: dict[tuple[str, int], Callable[..., ArgumentationFrame]] = {
     ("public", 0): lambda m: m.public_af,
     ("global", 0): lambda m: m.global_af,
     ("public", 2): lambda m, v, s: public_model(m, v, s),
     ("local", 2): lambda m, v, s: adjusted_perceived(m, v, s),
     ("trust-adjusted", 1): lambda m, e: trust_adjusted_public_model(m, e),
-    ("aware", 1): lambda m, e: m.aware[e],
+    ("aware", 1): lambda m, e: perceived(m, e, e),
     ("perceived", 2): lambda m, v, s: perceived(m, v, s),
 }
 
@@ -212,7 +222,4 @@ def view(m: MmaState, name: str, *agents: str) -> ArgumentationFrame:
     fn = VIEWS.get((name.replace("_", "-"), len(agents)))
     if fn is None:
         raise ValueError(f"unknown view {name!r} for {len(agents)} agent(s)")
-    for e in agents:
-        if e not in m.agents:
-            raise ValueError(f"unknown agent {e!r}")
     return fn(m, *agents)

@@ -17,7 +17,7 @@ def canned(ops_per_s, correct=True):
     values = dict.fromkeys(METRICS, 10.0) | {"ops_per_s": ops_per_s}
     result = {
         "correct": correct,
-        "attempted": 100,
+        "attempted": 20 * ops_per_s,
         "failed": 0 if correct else 3,
         "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()},
     }
@@ -71,6 +71,8 @@ def test_an_incorrect_run_makes_the_exit_status_nonzero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "change run of pair 2 reports incorrect outputs" in captured.err
     assert "failed 0/3" in captured.out
+    assert "pair 1 (base first): failed 0/0  attempted 1000/1200" in captured.out
+    assert "pair 2 (change first): failed 0/3  attempted 1000/1200" in captured.out
 
 
 def summary(base_values, change_values, capsys, tmp_path):

@@ -155,7 +155,7 @@ def test_derived_leq_pairs_are_public_mutual_conflicts():
 def reference_derive_inter(m, e):
     """The trust order with the argument -> owner map built up front, every filter in its original order."""
     if e not in m.agents:
-        raise ValueError(f"unknown agent: {e!r}")
+        raise ValueError(f"unknown agent {e!r}")
     owner: dict[str, str] = {}
     for agent in m.agents:
         for a in m.scope[agent]:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from mmarg.frames import ArgumentationFrame, combine, restrict
-from mmarg.preferences import IntraPreference
+from mmarg.preferences import IntraPreference, derive_inter
 from mmarg.export import export_graph, to_dot
 from mmarg.scenario import bundled_scenarios, query, state_at
 from mmarg.semantics import SemanticsKind, semantics, sorted_extensions
@@ -16,6 +16,7 @@ from mmarg.state import (
     perceived,
     perceived_lower_bound,
     public_model,
+    trust_adjusted_public_model,
     validate,
     view,
 )
@@ -230,14 +231,32 @@ def test_override_by_a_viewer_without_awareness_is_reported_once(pair):
 
 
 def test_perceived_unknown_agent_rejected(mafia):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown agent 'zz'$"):
         perceived(mafia.initial, "e1", "zz")
 
 
 @pytest.mark.parametrize("pair", [("e1", "zz"), ("zz", "e1")])
 def test_public_model_unknown_agent_rejected(mafia, pair):
-    with pytest.raises(ValueError, match=r"unknown agent pair"):
+    with pytest.raises(ValueError, match=r"^unknown agent 'zz'$"):
         public_model(mafia.initial, *pair)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: adjusted_perceived(m, "zz", "e1"),
+    lambda m: derive_inter(m, "zz"),
+    lambda m: trust_adjusted_public_model(m, "zz"),
+    lambda m: view(m, "aware", "zz"),
+    lambda m: view(m, "perceived", "e1", "zz"),
+    lambda m: view(m, "trust-adjusted", "zz"),
+])
+def test_every_accessor_reports_an_unknown_agent_in_one_text(mafia, call):
+    with pytest.raises(ValueError, match=r"^unknown agent 'zz'$"):
+        call(mafia.initial)
+
+
+def test_view_names_the_first_unknown_agent(mafia):
+    with pytest.raises(ValueError, match=r"^unknown agent 'yy'$"):
+        view(mafia.initial, "local", "yy", "zz")
 
 
 def test_adjusted_perceived_identity_without_facts(mafia):
