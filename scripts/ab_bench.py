@@ -8,9 +8,11 @@ whose order alternates: BASE runs first in odd pairs, CHANGE in even ones.
 Prints every pair's values, with each run's failed and attempted op
 counts (``peak_rss_mb`` grows with the ops a run completes), then for each
 end-to-end metric named in BASE's ``BENCHMARK.json`` the median and
-quartiles of each side, the change/base ratio of the medians, how many
-pairs the change won (ties count for neither side) and a verdict: ``gain
-shown``, ``worse than bound`` or ``no change shown`` (see
+quartiles of each side, the change/base ratio of the medians, the median
+and quartiles of the per-pair change/base ratios (machine drift within a
+session widens each side's quartiles but moves both runs of a pair), how
+many pairs the change won (ties count for neither side) and a verdict:
+``gain shown``, ``worse than bound`` or ``no change shown`` (see
 :func:`verdict`).  Exits 1 when any run reports ``"correct": false``.
 """
 
@@ -60,7 +62,8 @@ def pair_lines(i: int, base: dict, change: dict, metrics: list[dict]) -> list[st
 
 
 def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
-    """Per metric: each side's median and quartiles, the change/base ratio of medians, the wins."""
+    """Per metric: each side's median and quartiles, the change/base ratio of medians, the median and
+    quartiles of the per-pair change/base ratios, the wins."""
     lines = []
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -69,9 +72,14 @@ def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> 
         wins = sum(sign * (y - x) > 0 for x, y in zip(bv, cv))
         (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(bv), quartiles(cv)
         ratio = f"{cmed / bmed:.3f}" if bmed else "n/a"
+        pair_ratios = "n/a"
+        if all(bv):
+            rq1, rmed, rq3 = quartiles([y / x for x, y in zip(bv, cv)])
+            pair_ratios = f"{rmed:.3f} [{rq1:.3f}, {rq3:.3f}]"
         lines.append(
             f"{name} ({m['unit']}, {m['better']} is better): base {bmed:.6g} [{bq1:.6g}, {bq3:.6g}]  "
-            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  change/base {ratio}  change wins {wins} of {len(bv)}  "
+            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  change/base {ratio}  pair ratios {pair_ratios}  "
+            f"change wins {wins} of {len(bv)}  "
             + verdict(sign, m["bound"], wins / len(bv), (bq1, bmed, bq3), cmed)
         )
     return lines

@@ -14,12 +14,7 @@ from .semantics import (
     sorted_extensions,
 )
 from .oracle import MAX_ORACLE_ARGS, oracle_semantics, random_frame
-from .preferences import (
-    InterPreference,
-    IntraPreference,
-    adjust,
-    derive_inter,
-)
+from .preferences import adjust, derive_inter
 from .state import (
     VIEWS,
     MmaState,

@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=int, default=0, help="state after this many script steps")
     p.add_argument("--viewer", required=True)
     p.add_argument("--subject")
-    p.add_argument("--view", required=True, choices=list(dict.fromkeys(name for name, n in VIEWS if n)))
+    # argparse applies ``type`` before it checks ``choices``, so ``trust_adjusted`` reads as ``trust-adjusted``.
+    p.add_argument("--view", required=True, type=lambda v: v.replace("_", "-"),
+                   choices=list(dict.fromkeys(name for name, n in VIEWS if n)))
     p.add_argument("--kind", dest="semantics", choices=[k.value for k in SemanticsKind],
                    help="override the scenario's semantics kind")
     p.set_defaults(func=cmd_query)

@@ -157,16 +157,16 @@ def _verdict(m2: MmaState, viewer: str, subject: str, checked: frozenset[str], s
     never empty, so they agree and only the factual test decides; no
     adjusted frame is built and nothing is solved.
     """
-    intra = m2.intra[(viewer, subject)]
+    factual = m2.intra[(viewer, subject)]
     local = perceived(m2, viewer, subject)
     if local == m2.public_af:
-        return Verdict.HONEST if checked <= intra.factual else Verdict.UNDETERMINED
+        return Verdict.HONEST if checked <= factual else Verdict.UNDETERMINED
     kind = m2.sem_model[(viewer, subject)]
     src = restrict_extensions(solve(kind, public_model(m2, viewer, subject)), checked)
-    tgt = restrict_extensions(solve(kind, adjust(local, intra)), checked)
+    tgt = restrict_extensions(solve(kind, adjust(local, factual)), checked)
     if not src & tgt:
         return Verdict.DISHONEST
-    if src == tgt and checked <= intra.factual:
+    if src == tgt and checked <= factual:
         return Verdict.HONEST
     return Verdict.UNDETERMINED
 

@@ -1,19 +1,17 @@
 """Preferences over arguments and attack reversal.
 
-Two kinds of preference matter here.  An agent's own fact/guess split (one
-tier of arguments it knows to be factual, every other argument below)
-drives spurious attack elimination before any reasoning; a trust-derived
-order between other agents' publicly conflicting arguments breaks ties the
-facts cannot.  Both act the same way, as in preference-based argumentation
-frameworks: an attack coming out of a strictly less preferred argument is
-reversed.  So each preference only answers ``strictly_less(a, b)``, which
-``adjust`` asks once per attack; no order is ever enumerated.
+Two kinds of preference matter here.  An agent's own fact/guess split, the
+frozenset of arguments it holds factual, drives spurious attack elimination
+before any reasoning; a trust-derived order, the frozenset of its strict
+``(lower, higher)`` pairs, breaks ties between other agents' publicly
+conflicting arguments that the facts cannot.  Both act the same way, as in
+preference-based argumentation frameworks: ``adjust`` reverses an attack
+coming out of a strictly less preferred argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .frames import Attack, ArgumentationFrame
 
@@ -21,63 +19,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from .state import MmaState
 
 
-@dataclass(frozen=True)
-class IntraPreference:
-    """Binary fact/non-fact split: ``factual`` sits at the top tier, every
-    other argument at the bottom; the two tiers are the only strict comparison.
-
-    The split ranges over whatever frame it is applied to.  That ``factual``
-    lies inside the holder's awareness is a condition on the state, checked
-    by :func:`mmarg.state.validate`.
-    """
-
-    factual: frozenset[str]
-
-    @classmethod
-    def of(cls, factual: Iterable[str]) -> IntraPreference:
-        return cls(frozenset(factual))
-
-    def strictly_less(self, a: str, b: str) -> bool:
-        return b in self.factual and a not in self.factual
-
-
-@dataclass(frozen=True)
-class InterPreference:
-    """Trust-derived order for one observer, kept as its strict pairs only."""
-
-    strict: frozenset[Attack]
-
-    def strictly_less(self, a: str, b: str) -> bool:
-        return (a, b) in self.strict
-
-
-@dataclass(frozen=True)
-class Either:
-    """Two orders asked at once: ``a`` sits below ``b`` when either order puts it there."""
-
-    first: IntraPreference | InterPreference
-    second: IntraPreference | InterPreference
-
-    def strictly_less(self, a: str, b: str) -> bool:
-        return self.first.strictly_less(a, b) or self.second.strictly_less(a, b)
-
-
-def adjust(f: ArgumentationFrame, order: IntraPreference | InterPreference | Either) -> ArgumentationFrame:
+def adjust(f: ArgumentationFrame, factual: frozenset[str], strict: frozenset[Attack] = frozenset()) -> ArgumentationFrame:
     """Reverse every attack whose source is strictly less preferred than its target.
 
-    The argument set never changes; a reversed attack may coincide with an
-    existing opposite attack, in which case the pair collapses to one edge.
-    When no attack is reversed, ``f`` itself is returned.
+    ``s`` sits below ``t`` when ``t`` is factual and ``s`` is not, or when
+    ``(s, t)`` is one of the ``strict`` pairs.  The argument set never
+    changes; a reversed attack may coincide with an existing opposite attack,
+    in which case the pair collapses to one edge.  When no attack is
+    reversed, ``f`` itself is returned.
     """
-    flipped = [(s, t) for s, t in f.attacks if order.strictly_less(s, t)]
+    flipped = [(s, t) for s, t in f.attacks if t in factual and s not in factual or (s, t) in strict]
     if not flipped:
         return f
     attacks = f.attacks.difference(flipped).union([(t, s) for s, t in flipped])
     return ArgumentationFrame(f.args, attacks)
 
 
-def derive_inter(m: "MmaState", e: str) -> InterPreference:
-    """The trust order of agent ``e`` over mutually conflicting public arguments.
+def derive_inter(m: "MmaState", e: str) -> frozenset[Attack]:
+    """The strict pairs of agent ``e``'s trust order over mutually conflicting public arguments.
 
     A pair of arguments qualifies when they attack each other publicly, both
     lie inside ``e``'s awareness, and ``e`` holds neither to be factual; the
@@ -89,7 +48,7 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
     """
     m.require_agents(e)
     aware_args = m.aware[e].args
-    factual = m.intra[(e, e)].factual
+    factual = m.intra[(e, e)]
     pub = m.public_af.attacks
     owner: dict[str, str] | None = None
     strict = set()
@@ -104,4 +63,4 @@ def derive_inter(m: "MmaState", e: str) -> InterPreference:
             owner = {a: agent for agent in m.agents for a in m.scope[agent]}
         if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
             strict.add((a1, a2))
-    return InterPreference(frozenset(strict))
+    return frozenset(strict)

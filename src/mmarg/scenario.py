@@ -23,7 +23,6 @@ from typing import Any, Callable, IO, Mapping
 
 from .dynamics import AnnouncementError, AnnouncementEvent, TrustPolicy, Verdict, _step, update
 from .frames import ArgumentationFrame
-from .preferences import IntraPreference
 from .semantics import ExtensionSet, SemanticsKind, semantics, sorted_extensions
 from .state import (
     VIEWS,
@@ -215,11 +214,11 @@ def parse_scenario(doc: Any) -> Scenario:
         except ValueError as exc:
             raise ScenarioParseError(f"gsem{pair}: unknown semantics {value!r}") from exc
 
-    intra: dict[Pair, IntraPreference] = {}
+    intra: dict[Pair, frozenset[str]] = {}
     for (v, s), listed in _matrix(doc["factual"], agents, "factual").items():
         if not (isinstance(listed, list) and all(isinstance(a, str) for a in listed)):
             raise ScenarioParseError(f"factual({v},{s}) must be a list of ids")
-        intra[(v, s)] = IntraPreference(frozenset(listed))
+        intra[(v, s)] = frozenset(listed)
 
     violations: list[Violation] = []
     trust: dict[Pair, int] = {}
@@ -334,7 +333,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "awareness": {e: _frame_doc(m.aware[e]) for e in agents},
         "public": _frame_doc(m.public_af),
         "gsem": _pair_matrix_doc(m.sem_model, lambda k: k.value),
-        "factual": _pair_matrix_doc(m.intra, lambda p: sorted(p.factual)),
+        "factual": _pair_matrix_doc(m.intra, sorted),
         "trust": _pair_matrix_doc(m.trust),
         "omega_overrides": {},
         "script": [{"announcers": sorted(ev.announcers), **_frame_doc(ev)} for ev in sc.script],

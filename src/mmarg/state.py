@@ -3,9 +3,10 @@
 An :class:`MmaState` snapshot carries the global argumentation, the public
 record, per-agent scopes (argument sets) and awareness frames, a semantics
 choice per ordered agent pair, the fact/guess split each agent assumes per
-pair, and the trust matrix.  An agent's local argumentation is the global
-frame restricted to its scope, derived where needed.  Snapshots are
-immutable; announcement dynamics build new ones (see :mod:`mmarg.dynamics`).
+pair (the set of arguments it holds factual), and the trust matrix.  An
+agent's local argumentation is the global frame restricted to its scope,
+derived where needed.  Snapshots are immutable; announcement dynamics build
+new ones (see :mod:`mmarg.dynamics`).
 
 ``validate`` reports structural violations as data rather than raising, so
 a loader can list everything wrong with a scenario at once.  Every view a
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, KeysView, Mapping
 
 from .frames import ArgumentationFrame, combine, restrict
-from .preferences import Either, IntraPreference, adjust, derive_inter
+from .preferences import adjust, derive_inter
 from .semantics import SemanticsKind
 
 Pair = tuple[str, str]
@@ -46,10 +47,11 @@ class MmaState:
     agents, read through :attr:`agents`.  ``aware`` maps each agent to the
     frame of all it sees (its local argumentation, the public record, and
     whatever else it knows of others).  ``sem_model[(e1, e2)]`` is the
-    semantics e1 assumes e2 applies; ``intra[(e1, e2)]`` is e1's model of
-    e2's fact/guess split; ``trust[(e1, e2)]`` is the numeric trust e1 gives
-    e2.  ``overrides`` optionally pins e1's model of e2's argumentation to a
-    concrete frame instead of the default lower bound.
+    semantics e1 assumes e2 applies; ``intra[(e1, e2)]`` is the set of
+    arguments e1 holds factual in its model of e2; ``trust[(e1, e2)]`` is
+    the numeric trust e1 gives e2.  ``overrides`` optionally pins e1's model
+    of e2's argumentation to a concrete frame instead of the default lower
+    bound.
     """
 
     global_af: ArgumentationFrame
@@ -57,7 +59,7 @@ class MmaState:
     scope: Mapping[str, frozenset[str]]
     aware: Mapping[str, ArgumentationFrame]
     sem_model: Mapping[Pair, SemanticsKind]
-    intra: Mapping[Pair, IntraPreference]
+    intra: Mapping[Pair, frozenset[str]]
     trust: Mapping[Pair, int]
     overrides: Mapping[Pair, ArgumentationFrame] = field(default_factory=dict)
 
@@ -131,7 +133,7 @@ def validate(m: MmaState) -> list[Violation]:
                 out.append(Violation("structure", f"no {name} entry for pair ({v},{s})"))
         if pair in m.trust and not _is_int(m.trust[pair]):
             out.append(Violation("structure", f"trust({v},{s}) = {m.trust[pair]!r} is not an integer"))
-        if pair in m.intra and v in m.aware and not m.intra[pair].factual <= m.aware[v].args:
+        if pair in m.intra and v in m.aware and not m.intra[pair] <= m.aware[v].args:
             out.append(Violation("partial order 1", f"factual({v},{s}) lists arguments outside {v}'s awareness"))
 
     # Facts about an argument propagate into its owner's own split and into
@@ -139,12 +141,12 @@ def validate(m: MmaState) -> list[Violation]:
     for knower in order:
         if (knower, knower) not in m.intra:
             continue
-        known = m.intra[(knower, knower)].factual
+        known = m.intra[(knower, knower)]
         for owner in order:
             for a in sorted(known & m.scope[owner]):
-                if (owner, owner) in m.intra and a not in m.intra[(owner, owner)].factual:
+                if (owner, owner) in m.intra and a not in m.intra[(owner, owner)]:
                     out.append(Violation("knowledge", f"{knower} holds {a} factual but its owner {owner} does not"))
-                if (knower, owner) in m.intra and a not in m.intra[(knower, owner)].factual:
+                if (knower, owner) in m.intra and a not in m.intra[(knower, owner)]:
                     out.append(Violation("knowledge", f"{knower} holds {a} factual but not in its model of {owner}"))
 
     for (v, s), om in sorted(m.overrides.items()):
@@ -193,10 +195,11 @@ def trust_adjusted_public_model(m: MmaState, e: str) -> ArgumentationFrame:
     """The agent's own public model with its trust order applied on top.
 
     The trust order ranks no argument the agent holds factual, so it reverses
-    no attack the fact split reverses or creates: one ``adjust`` asking both
-    orders builds the frame that adjusting by one and then the other would.
+    no attack the fact split reverses or creates: one ``adjust`` given both
+    builds the frame that adjusting by one and then the other would.
     """
-    return adjust(m.public_af, Either(derive_inter(m, e), m.intra[(e, e)]))
+    strict = derive_inter(m, e)  # first, so an unknown agent is reported before ``intra`` is read
+    return adjust(m.public_af, m.intra[(e, e)], strict)
 
 
 # Every named view of a state, keyed by (name, number of agents it takes).

@@ -9,7 +9,6 @@ import pytest
 from mmarg import (
     AnnouncementEvent,
     ArgumentationFrame,
-    IntraPreference,
     MmaState,
     Scenario,
     SemanticsKind,
@@ -107,7 +106,7 @@ def random_state(rng: random.Random, n_agents: int = 3, max_scope: int = 3, dens
                     factual[(k, o)].add(a)
                     changed = True
 
-    intra = {pair: IntraPreference(frozenset(facts)) for pair, facts in factual.items()}
+    intra = {pair: frozenset(facts) for pair, facts in factual.items()}
     trust = {(v, s): rng.randint(-3, 3) for v in agents for s in agents}
 
     m = MmaState(

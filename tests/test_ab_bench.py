@@ -49,9 +49,12 @@ def test_pairs_alternate_and_the_summary_reads_medians_quartiles_ratio_and_wins(
     assert "base 50.5 [49.5, 51.25]" in summary
     assert "change 71 [64.25, 72.75]" in summary
     assert "change/base 1.406" in summary and "change wins 3 of 4" in summary
+    # Pair ratios 1.4, 75/52, 47/48 and 72/51: median (1.4 + 72/51) / 2, quartiles inclusive of the extremes.
+    assert "pair ratios 1.406 [1.295, 1.419]" in summary
     # Equal values on both sides are ties, won by neither.
     setup = next(line for line in out.splitlines() if line.startswith("setup_s"))
-    assert "change/base 1.000" in setup and "change wins 0 of 4" in setup
+    assert "change/base 1.000" in setup and "pair ratios 1.000 [1.000, 1.000]" in setup
+    assert "change wins 0 of 4" in setup
 
 
 def test_lower_is_better_metrics_count_a_drop_as_a_win():
@@ -92,6 +95,26 @@ def test_nine_wins_in_ten_beyond_the_base_quartiles_show_a_gain(tmp_path, capsys
     assert lines["ops_per_s"].endswith("  gain shown")
     # Every other metric reads the same on both sides.
     assert all(lines[name].endswith("  no change shown") for name in METRICS if name != "ops_per_s")
+
+
+def test_pair_ratios_show_a_steady_win_that_drift_hides_from_the_verdict(tmp_path, capsys):
+    # The machine speeds up run by run, so the base's own quartiles span the change's median,
+    # yet every pair reads the change 1.25 times faster.
+    base = [100 + 40 * i for i in range(10)]
+    change = [1.25 * x for x in base]
+    line = summary(base, change, capsys, tmp_path)["ops_per_s"]
+    assert "base 280 [190, 370]" in line and "change 350 [237.5, 462.5]" in line
+    assert "pair ratios 1.250 [1.250, 1.250]" in line and "change wins 10 of 10" in line
+    assert line.endswith("  no change shown")
+
+
+def test_a_zero_base_value_has_no_pair_ratios():
+    metrics = [{"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+    base = [json.loads(canned(1).splitlines()[-1]) for _ in range(2)]
+    change = [json.loads(canned(1).splitlines()[-1]) for _ in range(2)]
+    base[0]["metrics"]["op_p50_ms"]["value"] = 0.0
+    (line,) = ab_bench.summary_lines(base, change, metrics)
+    assert "pair ratios n/a" in line
 
 
 def test_eight_wins_or_a_median_inside_the_quartiles_show_no_change(tmp_path, capsys):

@@ -215,7 +215,7 @@ def _independent_trust_deltas(sc):
     fa_atts = {e: set(sc.initial.aware[e].attacks) for e in agents}
     glob_atts = set(sc.initial.global_af.attacks)
     scope_args = {e: set(sc.initial.scope[e]) for e in agents}
-    factual = {pair: set(p.factual) for pair, p in sc.initial.intra.items()}
+    factual = {pair: set(p) for pair, p in sc.initial.intra.items()}
     kinds = sc.initial.sem_model
 
     def close(args, atts):

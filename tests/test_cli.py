@@ -195,6 +195,14 @@ def test_query_trust_adjusted_variant(capsys):
     assert json.loads(capsys.readouterr().out) == [["a4", "a5"]]
 
 
+def test_query_reads_an_underscore_view_name_as_its_hyphenated_name(capsys):
+    argv = ["query", fixture_path("mafia_endgame_trusts_e2"), "--at", "4", "--viewer", "e3", "--view"]
+    assert main(argv + ["trust-adjusted"]) == EX_OK
+    hyphen = capsys.readouterr().out
+    assert main(argv + ["trust_adjusted"]) == EX_OK
+    assert capsys.readouterr().out == hyphen
+
+
 def test_query_kind_override(capsys):
     assert main(["query", FIXTURE, "--at", "4", "--viewer", "e3", "--view", "public", "--kind", "grounded"]) == EX_OK
     assert json.loads(capsys.readouterr().out) == [[]]

@@ -422,7 +422,7 @@ def reference_verdict(m2, viewer, subject, event, solve):
     tgt = restrict_extensions(solve(kind, adjusted_perceived(m2, viewer, subject)), checked)
     if not src & tgt:
         return Verdict.DISHONEST
-    if src == tgt and checked <= m2.intra[(viewer, subject)].factual:
+    if src == tgt and checked <= m2.intra[(viewer, subject)]:
         return Verdict.HONEST
     return Verdict.UNDETERMINED
 

@@ -29,7 +29,7 @@ def fingerprint(seed: int, count: int = 40) -> str:
             "scope": {e: sorted(args) for e, args in sorted(m.scope.items())},
             "aware": {e: _frame(f) for e, f in sorted(m.aware.items())},
             "sem_model": sorted([v, s, k.value] for (v, s), k in m.sem_model.items()),
-            "intra": sorted([v, s, sorted(p.factual)] for (v, s), p in m.intra.items()),
+            "intra": sorted([v, s, sorted(p)] for (v, s), p in m.intra.items()),
             "trust": sorted([v, s, t] for (v, s), t in m.trust.items()),
             "event": None if ev is None else [_frame(ev), sorted(ev.announcers)],
         })

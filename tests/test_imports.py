@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library, its search has one entry, ``semantics``,
-the solver's module defines nothing else public, and a verdict is computed in one place, ``dynamics._step``."""
+the solver's module defines nothing else public, the preference module defines only ``adjust`` and
+``derive_inter``, and a verdict is computed in one place, ``dynamics._step``."""
 
 import ast
 import sys
@@ -89,6 +90,12 @@ def test_the_solver_module_defines_only_the_solver():
     # The clause tests (conflict-free, defends) live in the oracle, and detection never asks for acceptance.
     public = {name for name in defined_names(SRC / "semantics.py") if not name.startswith("_")}
     assert public == {"ExtensionSet", "SemanticsKind", "semantics", "sorted_extensions"}
+
+
+def test_the_preference_module_defines_only_adjust_and_derive_inter():
+    # A fact split is a frozenset of arguments and a trust order a frozenset of pairs; no class wraps either.
+    public = {name for name in defined_names(SRC / "preferences.py") if not name.startswith("_")}
+    assert public == {"adjust", "derive_inter"}
 
 
 def test_a_verdict_is_computed_only_by_the_replay_step():

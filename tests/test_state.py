@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from mmarg.frames import ArgumentationFrame, combine, restrict
-from mmarg.preferences import IntraPreference, derive_inter
+from mmarg.preferences import derive_inter
 from mmarg.export import export_graph, to_dot
 from mmarg.scenario import bundled_scenarios, query, state_at
 from mmarg.semantics import SemanticsKind, semantics, sorted_extensions
@@ -46,7 +46,7 @@ def two_agent_state(**overrides) -> MmaState:
         scope=scope,
         aware=aware,
         sem_model={(v, s): SemanticsKind.PREFERRED for v in agents for s in agents},
-        intra={(v, s): IntraPreference.of([]) for v in agents for s in agents},
+        intra={(v, s): frozenset() for v in agents for s in agents},
         trust={(v, s): 0 for v in agents for s in agents},
         overrides={},
     )
@@ -131,7 +131,7 @@ def test_empty_scope_flagged():
 def test_factual_outside_awareness_flagged():
     m = two_agent_state()
     bad = dict(m.intra)
-    bad[("e2", "e1")] = IntraPreference.of(["a2"])
+    bad[("e2", "e1")] = frozenset({"a2"})
     assert "partial order 1" in conditions(validate(replace(m, intra=bad)))
 
 
@@ -140,7 +140,7 @@ def test_knowledge_propagation_violation_flagged():
     bad = dict(m.intra)
     # e1 holds b1 (owned by e2) factual, but neither e2's own split nor
     # e1's model of e2 does.
-    bad[("e1", "e1")] = IntraPreference.of(["b1"])
+    bad[("e1", "e1")] = frozenset({"b1"})
     assert conditions(validate(replace(m, intra=bad))) == {"knowledge"}
 
 
