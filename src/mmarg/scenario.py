@@ -40,11 +40,12 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 class ScenarioParseError(ValueError):
-    """Malformed document: bad JSON or a schema-level problem."""
+    """Malformed document: bad JSON, a wrong type, a missing key, an empty or duplicate id, a bad attack
+    entry, a scope that misses an owned argument or lists an id twice, or an unknown agent name."""
 
 
 class ScenarioValidationError(ValueError):
-    """Well-formed document describing an ill-formed state."""
+    """Well-formed document describing an ill-formed state: ``validate``'s violations or a ``trust range``."""
 
     def __init__(self, violations: list[Violation]):
         self.violations = violations
@@ -133,9 +134,11 @@ def _matrix(raw: Any, agents: list[str], where: str) -> dict[Pair, Any]:
 def parse_scenario(doc: Any) -> Scenario:
     """Build and validate a scenario from a decoded JSON document.
 
-    :data:`TRUST_CAP` bounds the trust values the document states; trust
-    revision during a replay may carry a value past it.  Each check costs one
-    test when it passes; its message is built only where it is raised.
+    The parser checks the document's shape (:class:`ScenarioParseError`, a frame constructor's
+    ``ValueError`` included) and leaves each condition on the state to :func:`validate`, whose
+    violations and any trust past :data:`TRUST_CAP` raise :class:`ScenarioValidationError`.  The cap
+    bounds only the values the document states; trust revision may carry a value past it.  Each check
+    costs one test when it passes; its message is built only where it is raised.
     """
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
@@ -161,7 +164,6 @@ def parse_scenario(doc: Any) -> Scenario:
         owners[a] = raw["owner"]
         if raw.get("label"):
             labels[a] = raw["label"]
-    arg_ids = frozenset(owners)
 
     scopes_raw = doc["scopes"]
     if not (isinstance(scopes_raw, dict) and scopes_raw):
@@ -170,42 +172,24 @@ def parse_scenario(doc: Any) -> Scenario:
     for a, owner in owners.items():
         if owner not in scopes_raw:
             raise ScenarioParseError(f"argument {a} owned by unknown agent {owner!r}")
-    listed_in: dict[str, list[str]] = {}
+    scope: dict[str, frozenset[str]] = {}
     for e in agents:
         listed = scopes_raw[e]
         if not (isinstance(listed, list) and all(isinstance(a, str) for a in listed)):
             raise ScenarioParseError(f"scope of {e} must be a list of ids")
-        for a in listed:
-            listed_in.setdefault(a, []).append(e)
-    overlaps = [
-        Violation("local scopes", f"argument {a} appears in the scopes of {owners}")
-        for a, owners in sorted(listed_in.items())
-        if len(owners) > 1
-    ]
-    if overlaps:
-        raise ScenarioValidationError(overlaps)
-    for e in agents:
-        if set(scopes_raw[e]) != {a for a, owner in owners.items() if owner == e}:
-            raise ScenarioParseError(f"scope of {e} disagrees with the declared owners")
-
-    global_attacks = _as_attacks(doc["global_attacks"], "global_attacks")
-    for s, t in sorted(global_attacks):
-        if s not in arg_ids or t not in arg_ids:
-            raise ScenarioParseError(f"global attack ({s},{t}) uses an undeclared argument")
-    global_af = ArgumentationFrame(arg_ids, global_attacks)
-    scope = {e: frozenset(scopes_raw[e]) for e in agents}
+        scope[e] = frozenset(listed)
+        if len(scope[e]) != len(listed):
+            raise ScenarioParseError(f"scope of {e} lists an argument twice")
+    for a, owner in owners.items():
+        if a not in scope[owner]:
+            raise ScenarioParseError(f"scope of {owner} disagrees with the declared owners")
+    global_af = _as_frame({"args": list(owners), "attacks": doc["global_attacks"]}, "global_attacks")
 
     aware_raw = doc["awareness"]
     if not (isinstance(aware_raw, dict) and aware_raw.keys() == scope.keys()):
         raise ScenarioParseError("awareness must cover exactly the agents")
     aware = {e: _as_frame(aware_raw[e], f"awareness of {e}") for e in agents}
-    for e in agents:
-        if not aware[e].args <= arg_ids:
-            raise ScenarioParseError(f"awareness of {e} uses undeclared arguments")
-
     public_af = _as_frame(doc.get("public", {}), "public")
-    if not public_af.args <= arg_ids:
-        raise ScenarioParseError("public frame uses undeclared arguments")
 
     sem_model: dict[Pair, SemanticsKind] = {}
     for pair, value in _matrix(doc["gsem"], agents, "gsem").items():
@@ -239,8 +223,6 @@ def parse_scenario(doc: Any) -> Scenario:
         if not isinstance(row, dict):
             raise ScenarioParseError(f"omega overrides of {v} must be an object")
         for s, raw in row.items():
-            if s not in scopes_raw:
-                raise ScenarioParseError(f"omega override ({v},{s}) names unknown agent {s!r}")
             overrides[(v, s)] = _as_frame(raw, f"omega override ({v},{s})")
 
     initial = MmaState(
@@ -264,8 +246,8 @@ def parse_scenario(doc: Any) -> Scenario:
         if not isinstance(raw, dict):
             raise ScenarioParseError(f"script step {i} must be an object")
         announcers = raw.get("announcers", [])
-        if not (isinstance(announcers, list) and announcers and all(isinstance(a, str) for a in announcers)):
-            raise ScenarioParseError(f"script step {i}: announcers must be a nonempty list")
+        if not (isinstance(announcers, list) and all(isinstance(a, str) for a in announcers)):
+            raise ScenarioParseError(f"script step {i}: announcers must be a list of agent names")
         if not set(announcers) <= scope.keys():
             raise ScenarioParseError(f"script step {i}: unknown announcer")
         script.append(_as_frame(raw, f"script step {i}", functools.partial(AnnouncementEvent, announcers=frozenset(announcers))))

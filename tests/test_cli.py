@@ -58,6 +58,15 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "trust range" in capsys.readouterr().err
 
 
+def test_awareness_outside_the_global_frame_is_a_validation_failure(tmp_path, capsys):
+    # A well-formed document whose state breaks a condition of `validate` exits 1, not 3.
+    doc = json.loads(dumps_scenario(load_bundled("mafia_endgame")))
+    doc["awareness"]["e1"]["args"].append("zz")
+    assert main(["validate", write_doc(tmp_path, doc)]) == EX_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation failed:\n  (structure) awareness of e1 is not a sub-frame of the global frame\n")
+
+
 MALFORMED = {
     "arguments not a list": lambda doc: doc.update(arguments=5),
     "omega_overrides not an object": lambda doc: doc.update(omega_overrides=[]),

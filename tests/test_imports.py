@@ -1,6 +1,7 @@
 """The library imports nothing outside the standard library, its search has one entry, ``semantics``,
 the solver's module defines nothing else public, the preference module defines only ``adjust`` and
-``derive_inter``, and a verdict is computed in one place, ``dynamics._step``."""
+``derive_inter``, a verdict is computed in one place, ``dynamics._step``, and the scenario parser
+builds no violation but the trust cap's."""
 
 import ast
 import sys
@@ -138,3 +139,18 @@ def test_parse_checks_build_their_message_only_when_they_raise():
 def test_no_library_module_imports_importlib():
     # Bundled fixtures are found by path beside scenario.py, not through importlib.resources.
     assert not {p.name for p in SRC.glob("*.py") if "importlib" in absolute_imports(p)}
+
+
+def violation_conditions(path: Path) -> list[object]:
+    """The condition of every ``Violation`` one module builds: the string, or ``None`` where it is not a literal."""
+    conditions = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Violation":
+            first = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "condition"), None)
+            conditions.append(first.value if isinstance(first, ast.Constant) else None)
+    return conditions
+
+
+def test_the_parser_states_no_condition_of_validate():
+    # `validate` and the frame constructors state every condition on the state; the parser adds only the trust cap.
+    assert set(violation_conditions(SRC / "scenario.py")) <= {"trust range"}

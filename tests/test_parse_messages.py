@@ -9,8 +9,13 @@ Two goldens under ``tests/data/``:
   over the bundled fixtures as ``dumps_scenario`` writes them, each with its
   outcome (``ok``, or the exception type and message).
 
-Both were written by the code before its checks were rewritten.  Regenerate
-them only when a message is meant to change::
+Both were written by the code before its checks were rewritten, and last
+regenerated when the parser stopped restating conditions of the state.  Scope
+overlap, awareness or public outside the global frame and an override of an
+unknown subject now read as ``validate`` words them; a global attack on an
+undeclared argument and an empty announcer list as the frame constructors word
+them.  No outcome moved between ``ok`` and an error.  Regenerate them only when
+a message is meant to change::
 
     PYTHONPATH=src python tests/test_parse_messages.py
 
@@ -64,6 +69,7 @@ VARIANTS: dict[str, Any] = {
     "argument owned by an unknown agent": (["arguments", 0, "owner"], "e9"),
     "scope not a list of ids": (["scopes", "e1"], ["a1", 2]),
     "overlapping scopes": (["scopes", "e2"], ["a1", "a4", "a5", "a6"]),
+    "scope lists an argument twice": (["scopes", "e2"], ["a4", "a5", "a6", "a6"]),
     "scope disagrees with the owners": (["scopes", "e1"], ["a1", "a2"]),
     "global attacks not a list": (["global_attacks"], {}),
     "global attack entry too short": (["global_attacks", 0], ["a1"]),
