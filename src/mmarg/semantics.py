@@ -5,9 +5,11 @@ Complete extensions are enumerated through a three-valued labelling search
 (every argument ends up accepted, rejected, or undecided) that starts from
 the grounded labelling, which every complete labelling extends: the
 grounded set is accepted, everything it attacks is rejected, and only the
-arguments left undecided are searched.  Preferred extensions are the
-maximal complete ones.  All results are exact sets of extensions, never
-approximations.
+arguments left undecided are searched.  Each label's obligation is checked
+when the argument is labelled and again when its last possible supporting
+attacker is, so every leaf is a complete labelling.  Preferred extensions
+are the maximal complete ones.  All results are exact sets of extensions,
+never approximations.
 
 The brute-force subset filter in :mod:`mmarg.oracle` re-derives the same
 semantics straight from the definitions and deliberately shares none of
@@ -55,13 +57,15 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
 
     Every complete labelling extends the grounded one, so the grounded set
     starts accepted, everything it attacks starts rejected, and only the
-    arguments left over are searched, in index order.  Accepting an argument
-    demands no accepted or undecided attacker/target so far and no
-    self-attack; rejecting demands an accepted attacker now or a
-    still-unassigned one that may yet be accepted; leaving undecided demands
-    no accepted neighbour and some attacker that is not rejected.  Rejection
-    and undecidedness carry obligations that only the finished labelling can
-    discharge, so leaves are re-checked.
+    arguments left over are searched, in index order.  Each obligation is
+    checked at the node where it can first fail, so every leaf is a complete
+    labelling.  Accepting demands no self-attack and no accepted or undecided
+    attacker/target so far; later neighbours can then be neither.  Rejecting
+    demands an attacker that is accepted, or unassigned and not
+    self-attacking.  Leaving undecided demands no accepted neighbour and an
+    attacker that is undecided, itself, or unassigned.  An argument labelled
+    otherwise than accepted may have been the last such attacker of a
+    rejected or undecided target, so those targets are re-checked then.
     """
     g = _grounded_mask(n, attackers, targets)
     g_out = _attacked_by(g, targets)
@@ -69,41 +73,39 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
     free = [i for i in range(n) if not decided >> i & 1]
     if not free:
         return [g]
+    loops = sum(1 << i for i in free if attackers[i] >> i & 1)
     # later[k]: the free arguments still unassigned once free[k] is labelled.
     later = [0] * len(free)
     for k in range(len(free) - 1, 0, -1):
         later[k - 1] = later[k] | 1 << free[k]
     results: list[int] = []
 
-    def leaf_ok(in_m: int, out_m: int, un_m: int) -> bool:
-        m = out_m
+    def backed(m: int, support: int) -> bool:
+        """Whether every argument of ``m`` has an attacker in ``support``."""
         while m:
             b = m & -m
-            if not attackers[b.bit_length() - 1] & in_m:
-                return False
-            m ^= b
-        m = un_m
-        while m:
-            b = m & -m
-            if not attackers[b.bit_length() - 1] & un_m:
+            if not attackers[b.bit_length() - 1] & support:
                 return False
             m ^= b
         return True
 
     def search(k: int, in_m: int, out_m: int, un_m: int) -> None:
         if k == len(free):
-            if leaf_ok(in_m, out_m, un_m):
-                results.append(in_m)
+            results.append(in_m)
             return
         i = free[k]
         b = 1 << i
         att = attackers[i]
         tgt = targets[i]
+        rest = later[k]
         if not att & b and not (att | tgt) & (in_m | un_m):
             search(k + 1, in_m | b, out_m, un_m)
-        if att & in_m or att & later[k]:
+        may_in = in_m | rest & ~loops
+        if not backed(out_m & tgt, may_in):
+            return
+        if att & may_in and backed(un_m & tgt, un_m | rest):
             search(k + 1, in_m, out_m | b, un_m)
-        if not (att | tgt) & in_m and att & ~out_m:
+        if not (att | tgt) & in_m and att & (un_m | b | rest):
             search(k + 1, in_m, out_m, un_m | b)
 
     search(0, g, g_out, 0)

@@ -157,6 +157,12 @@ GROUNDED_FAMILIES = {
     "unattacked into an odd cycle": (_join(_chain(1), _cycle(3), links=[("x0", "y0")]), "all"),
     "unattacked into an even cycle": (_join(_chain(1), _cycle(4), links=[("x0", "y0")]), "all"),
     "even cycle feeding an odd cycle": (_join(_cycle(2, "x"), _cycle(3), links=[("x1", "y0")]), "none"),
+    # x0 is searched before z, its only attacker, which attacks itself and so
+    # can never be accepted: rejecting x0 is pruned at once.
+    "self-attack after its target": (_join((["z"], [("z", "z")]), _chain(2), links=[("z", "x0")]), "none"),
+    # a is searched first with c as its only attacker; once b is accepted and
+    # c rejected, a can be neither undecided nor rejected any more.
+    "undecided before its last attacker": (f(["a", "b", "c"], [("c", "a"), ("b", "c"), ("c", "b")]), "none"),
 }
 
 
@@ -188,3 +194,14 @@ def test_grounded_seeded_search_matches_oracle_on_random_frames():
             for kind in SemanticsKind:
                 assert semantics(kind, frame) == oracle_semantics(kind, frame)
     assert seen == {"all", "none", "part"}
+
+
+def test_matches_oracle_on_frames_shaped_like_solve_dense():
+    """13 arguments, with exactly 30% of the 169 ordered pairs attacking, self-pairs included."""
+    rng = random.Random(13)
+    args = [f"d{i:02d}" for i in range(13)]
+    pairs = [(a, b) for a in args for b in args]
+    for _ in range(20):
+        frame = f(args, rng.sample(pairs, round(0.3 * len(pairs))))
+        for kind in SemanticsKind:
+            assert semantics(kind, frame) == oracle_semantics(kind, frame)

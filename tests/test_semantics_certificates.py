@@ -4,7 +4,7 @@ Dung (AIJ 77, 1995): a complete extension is conflict-free, defends each of
 its members and contains every argument it defends; a preferred extension is
 a maximal complete one; the grounded extension is the least complete one,
 the intersection of them all.  Each of these is checked in polynomial time
-on frames of 14-20 arguments, too large to enumerate subsets of cheaply.
+on frames of 14-25 arguments, too large to enumerate subsets of cheaply.
 Exact references for 20 arguments come from disjoint unions of two
 oracle-checked halves, whose extensions are exactly the unions of one
 extension of each half.  Renaming the arguments must rename the extensions.
@@ -71,7 +71,7 @@ def assert_certified(f):
     assert g in complete
 
 
-CERTIFIED = [(seed, *shape) for seed, shape in enumerate(itertools.product((14, 17, 20), (0.05, 0.1, 0.2), (0.03, 0.08)))]
+CERTIFIED = [(seed, *shape) for seed, shape in enumerate(itertools.product((14, 17, 20, 22, 25), (0.05, 0.1, 0.2), (0.03, 0.08)))]
 
 
 @pytest.mark.parametrize("seed, n, density, mutual", CERTIFIED)
