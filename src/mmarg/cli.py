@@ -74,9 +74,7 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _policy(text: str | None) -> TrustPolicy | None:
-    if text is None:
-        return None
+def _policy(text: str) -> TrustPolicy:
     try:
         honest, dishonest = (int(x) for x in text.split(","))
         return TrustPolicy(honest, dishonest)
@@ -92,9 +90,8 @@ def cmd_validate(ns) -> int:
 
 def cmd_run(ns) -> int:
     sc = _load(ns.file)
-    policy = _policy(ns.policy)
-    if policy is not None:
-        sc = replace(sc, policy=policy)
+    if ns.policy is not None:
+        sc = replace(sc, policy=_policy(ns.policy))
     trace: Trace = run(sc, with_semantics=ns.with_semantics)
     _emit(dumps_trace(trace), ns.trace)
     if trace.error_step is not None:
@@ -114,8 +111,7 @@ def _state(sc: Scenario, at: int, view: str) -> MmaState:
 def cmd_query(ns) -> int:
     sc = _load(ns.file)
     m = _state(sc, ns.at, ns.view)
-    kind = SemanticsKind(ns.semantics) if ns.semantics else None
-    exts = query(m, ns.viewer, ns.subject, ns.view, kind)
+    exts = query(m, ns.viewer, ns.subject, ns.view, ns.semantics)
     json.dump(sorted_extensions(exts), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EX_OK

@@ -128,6 +128,10 @@ def _matrix(raw: Any, agents: list[str], where: str) -> dict[Pair, Any]:
             if s not in row:
                 raise ScenarioParseError(f"{where}: missing entry ({v},{s})")
             out[(v, s)] = row[s]
+        if len(row) != len(agents):
+            raise ScenarioParseError(f"{where}: row for {v} names unknown agent {min(row.keys() - agents, key=repr)!r}")
+    if len(raw) != len(agents):
+        raise ScenarioParseError(f"{where}: row for unknown agent {min(raw.keys() - agents, key=repr)!r}")
     return out
 
 
@@ -169,9 +173,6 @@ def parse_scenario(doc: Any) -> Scenario:
     if not (isinstance(scopes_raw, dict) and scopes_raw):
         raise ScenarioParseError("scopes must be a nonempty object")
     agents = sorted(scopes_raw)
-    for a, owner in owners.items():
-        if owner not in scopes_raw:
-            raise ScenarioParseError(f"argument {a} owned by unknown agent {owner!r}")
     scope: dict[str, frozenset[str]] = {}
     for e in agents:
         listed = scopes_raw[e]
@@ -181,6 +182,8 @@ def parse_scenario(doc: Any) -> Scenario:
         if len(scope[e]) != len(listed):
             raise ScenarioParseError(f"scope of {e} lists an argument twice")
     for a, owner in owners.items():
+        if owner not in scope:
+            raise ScenarioParseError(f"argument {a} owned by unknown agent {owner!r}")
         if a not in scope[owner]:
             raise ScenarioParseError(f"scope of {owner} disagrees with the declared owners")
     global_af = _as_frame({"args": list(owners), "attacks": doc["global_attacks"]}, "global_attacks")
@@ -307,7 +310,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
     m = sc.initial
     agents = sorted(m.agents)
     owner = {a: e for e in agents for a in m.scope[e]}
-    doc: dict[str, Any] = {
+    return {
         "notes": sc.notes,
         "arguments": [{"id": a, "owner": owner[a], "label": sc.labels.get(a, "")} for a in sorted(m.global_af.args)],
         "global_attacks": [list(p) for p in sorted(m.global_af.attacks)],
@@ -317,13 +320,10 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "gsem": _pair_matrix_doc(m.sem_model, lambda k: k.value),
         "factual": _pair_matrix_doc(m.intra, sorted),
         "trust": _pair_matrix_doc(m.trust),
-        "omega_overrides": {},
+        "omega_overrides": _pair_matrix_doc(m.overrides, _frame_doc),
         "script": [{"announcers": sorted(ev.announcers), **_frame_doc(ev)} for ev in sc.script],
         "policy": {"honest": sc.policy.delta_honest, "dishonest": sc.policy.delta_dishonest},
     }
-    for (v, s), f in sorted(m.overrides.items()):
-        doc["omega_overrides"].setdefault(v, {})[s] = _frame_doc(f)
-    return doc
 
 
 def dumps_scenario(sc: Scenario) -> str:
@@ -362,8 +362,8 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
                 global_added_args=tuple(sorted(m2.global_af.args - m.global_af.args)),
                 global_added_attacks=tuple(sorted(m2.global_af.attacks - m.global_af.attacks)),
                 verdicts=verdicts,
-                trust_before=dict(m.trust),
-                trust_after=dict(m3.trust),
+                trust_before=m.trust,
+                trust_after=m3.trust,
                 trust_adjusted=extras,
             )
         )
@@ -390,7 +390,7 @@ def state_at(sc: Scenario, step: int) -> MmaState:
     return m
 
 
-def query(m: MmaState, viewer: str, subject: str | None, view: str, kind: SemanticsKind | None = None) -> ExtensionSet:
+def query(m: MmaState, viewer: str, subject: str | None, view: str, kind: SemanticsKind | str | None = None) -> ExtensionSet:
     """Extension sets of a view of :data:`~mmarg.state.VIEWS`: a one-agent view reads ``viewer`` and
     takes no ``subject`` (``ValueError``), a two-agent view ``viewer``'s model of ``subject`` (default
     ``viewer``).  The kind defaults to what the first agent assumes the last one applies.
@@ -417,21 +417,16 @@ def _block(brackets: str, items: list[str], nl: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
 
 
-class _TraceWriter(dict):
+class _TraceWriter:
     """One trace's parts rendered as ``json.dumps(..., indent=2, sort_keys=True)`` renders them, ``nl``
-    before the closing bracket.  As a dict it maps each string to its JSON literal, quoted once per trace;
-    ``layouts`` maps each matrix shape, a (``nl``, key set), to its ``%``-template and sorted keys."""
+    before the closing bracket.  ``layouts`` maps each matrix shape, a (``nl``, key set), to its
+    ``%``-template and sorted keys."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.layouts: dict[tuple[str, frozenset[Pair]], tuple[str, list[Pair]]] = {}
 
-    def __missing__(self, text: str) -> str:
-        self[text] = quoted = encode_basestring_ascii(text)
-        return quoted
-
     def strs(self, texts: Any, nl: str) -> str:
-        return _block("[]", [self[t] for t in texts], nl)
+        return _block("[]", list(map(encode_basestring_ascii, texts)), nl)
 
     def lists(self, rows: Any, nl: str) -> str:
         return _block("[]", [self.strs(row, nl + "  ") for row in rows], nl)
@@ -446,9 +441,10 @@ class _TraceWriter(dict):
             keys = sorted(values)
             rows: dict[str, list[str]] = {}
             for v, s in keys:
-                rows.setdefault(v, []).append(self[s].replace("%", "%%") + ": %s")
+                rows.setdefault(v, []).append(encode_basestring_ascii(s).replace("%", "%%") + ": %s")
             inner = nl + "  "
-            template = _block("{}", [self[v].replace("%", "%%") + ": " + _block("{}", row, inner) for v, row in rows.items()], nl)
+            template = _block("{}", [encode_basestring_ascii(v).replace("%", "%%") + ": " + _block("{}", row, inner)
+                                     for v, row in rows.items()], nl)
             layout = self.layouts[shape] = (template, keys)
         template, keys = layout
         return template % tuple([conv(values[k]) for k in keys])
@@ -463,7 +459,8 @@ class _TraceWriter(dict):
             '"public_added": ' + self.frame(st.public_added_args, st.public_added_attacks, i),
         ]
         if st.trust_adjusted is not None:
-            extras = [self[e] + ": " + self.lists(sorted_extensions(g), i + "  ") for e, g in sorted(st.trust_adjusted.items())]
+            extras = [encode_basestring_ascii(e) + ": " + self.lists(sorted_extensions(g), i + "  ")
+                      for e, g in sorted(st.trust_adjusted.items())]
             fields.append('"trust_adjusted": ' + _block("{}", extras, i))
         return _block("{}", fields + [
             '"trust_after": ' + self.matrix(st.trust_after, i),

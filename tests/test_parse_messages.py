@@ -93,13 +93,16 @@ VARIANTS: dict[str, Any] = {
     "gsem misses a row": (["gsem", "e2"], DELETE),
     "gsem row not an object": (["gsem", "e2"], "preferred"),
     "gsem misses an entry": (["gsem", "e2", "e3"], DELETE),
+    "gsem row for an unknown agent": (["gsem", "e9"], {"e1": "grounded"}),
     "unknown semantics": (["gsem", "e1", "e2"], "stable"),
     "unhashable semantics": (["gsem", "e1", "e2"], ["preferred"]),
     "factual not an object": (["factual"], 1),
     "factual misses an entry": (["factual", "e3", "e1"], DELETE),
     "factual not a list of ids": (["factual", "e1", "e1"], "a1"),
+    "factual entry for an unknown agent": (["factual", "e1", "e9"], []),
     "factual outside awareness": (["factual", "e1", "e1"], ["a1", "a9"]),
     "trust misses a row": (["trust", "e1"], DELETE),
+    "trust entry for an unknown agent": (["trust", "e1", "e9"], 0),
     "trust not an integer": (["trust", "e1", "e2"], 0.5),
     "trust a boolean": (["trust", "e1", "e2"], True),
     "trust over the cap": (["trust", "e1", "e2"], 1001),
