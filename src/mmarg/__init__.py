@@ -6,7 +6,7 @@ announcement dynamics, deception/honesty detection, and trust revision,
 plus a scenario file format and CLI to replay games deterministically.
 """
 
-from .frames import ArgumentationFrame, combine, restrict
+from .frames import AnnouncementEvent, ArgumentationFrame, combine, restrict
 from .semantics import (
     ExtensionSet,
     SemanticsKind,
@@ -28,7 +28,6 @@ from .state import (
 )
 from .dynamics import (
     AnnouncementError,
-    AnnouncementEvent,
     TrustPolicy,
     Verdict,
     announce,

@@ -66,12 +66,16 @@ def _load(path: str) -> Scenario:
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout when no path is given."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to ``path``, or to stdout when no path is given; a failed write names where it went."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        exc.filename = path or "<stdout>"
+        raise
 
 
 def _policy(text: str) -> TrustPolicy:
@@ -84,7 +88,7 @@ def _policy(text: str) -> TrustPolicy:
 
 def cmd_validate(ns) -> int:
     _load(ns.file)
-    print(f"{ns.file}: valid")
+    _emit(f"{ns.file}: valid\n", None)
     return EX_OK
 
 
@@ -112,8 +116,7 @@ def cmd_query(ns) -> int:
     sc = _load(ns.file)
     m = _state(sc, ns.at, ns.view)
     exts = query(m, ns.viewer, ns.subject, ns.view, ns.semantics)
-    json.dump(sorted_extensions(exts), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _emit(json.dumps(sorted_extensions(exts), indent=2) + "\n", None)
     return EX_OK
 
 
@@ -148,8 +151,8 @@ def cmd_oracle_check(ns) -> int:
                 print(f"MISMATCH trial {trial} kind {kind.value}: "
                       f"solver {sorted_extensions(got)} oracle {sorted_extensions(want)}",
                       file=sys.stderr)
-    print(f"oracle-check: {ns.trials} random frames (max {ns.max_args} args, seed {ns.seed}), "
-          f"{mismatches} mismatches")
+    _emit(f"oracle-check: {ns.trials} random frames (max {ns.max_args} args, seed {ns.seed}), "
+          f"{mismatches} mismatches\n", None)
     return EX_OK if mismatches == 0 else EX_VALIDATION
 
 

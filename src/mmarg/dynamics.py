@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-from .frames import Attack, ArgumentationFrame, _check_ids, combine
+from .frames import AnnouncementEvent, ArgumentationFrame, combine
 from .semantics import ExtensionSet, SemanticsKind, semantics
 from .preferences import adjust
 from .state import MmaState, Pair, Violation, _is_int, perceived, public_model
@@ -40,33 +40,6 @@ class Verdict(str, enum.Enum):
     HONEST = "honest"
     DISHONEST = "dishonest"
     UNDETERMINED = "undetermined"
-
-
-@dataclass(frozen=True)
-class AnnouncementEvent:
-    """Arguments and attacks someone announces; announcers are reporting metadata.
-
-    Every attack touches at least one announced argument; its other endpoint
-    may be an argument already on the public record.
-    """
-
-    args: frozenset[str]
-    attacks: frozenset[Attack]
-    announcers: frozenset[str]
-
-    def __post_init__(self) -> None:
-        args = self.args
-        _check_ids(args)
-        for s, t in self.attacks:
-            if s not in args and t not in args:
-                s, t = min(((s, t) for s, t in self.attacks if s not in args and t not in args), key=repr)
-                raise ValueError(f"attack ({s},{t}) touches no argument of the frame")
-        if not self.announcers:
-            raise ValueError("an announcement needs at least one announcer")
-
-    @classmethod
-    def of(cls, args: Iterable[str], attacks: Iterable[Attack], announcers: Iterable[str]) -> AnnouncementEvent:
-        return cls(frozenset(args), frozenset((s, t) for s, t in attacks), frozenset(announcers))
 
 
 @dataclass(frozen=True)

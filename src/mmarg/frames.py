@@ -3,17 +3,15 @@
 Every frame is closed: both endpoints of every attack are among the frame's
 arguments, as in a Dung framework.  The one partial thing, an announcement
 whose attack may land on an argument someone else put forward earlier, is
-an :class:`mmarg.dynamics.AnnouncementEvent`, not a frame.  Frames grow by
-one union, :func:`combine`, and shrink by one cut, :func:`restrict`.
+an :class:`AnnouncementEvent`, not a frame; both shapes check their ids by
+one rule.  Frames grow by one union, :func:`combine`, and shrink by one cut,
+:func:`restrict`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import AnnouncementEvent
+from typing import Iterable
 
 Attack = tuple[str, str]
 
@@ -48,6 +46,33 @@ class ArgumentationFrame:
     def contains(self, other: ArgumentationFrame | AnnouncementEvent) -> bool:
         """Sub-frame test: ``other``'s arguments and attacks are all here."""
         return other.args <= self.args and other.attacks <= self.attacks
+
+
+@dataclass(frozen=True)
+class AnnouncementEvent:
+    """Arguments and attacks someone announces; announcers are reporting metadata.
+
+    Every attack touches at least one announced argument; its other endpoint
+    may be an argument already on the public record.
+    """
+
+    args: frozenset[str]
+    attacks: frozenset[Attack]
+    announcers: frozenset[str]
+
+    def __post_init__(self) -> None:
+        args = self.args
+        _check_ids(args)
+        for s, t in self.attacks:
+            if s not in args and t not in args:
+                s, t = min(((s, t) for s, t in self.attacks if s not in args and t not in args), key=repr)
+                raise ValueError(f"attack ({s},{t}) touches no argument of the frame")
+        if not self.announcers:
+            raise ValueError("an announcement needs at least one announcer")
+
+    @classmethod
+    def of(cls, args: Iterable[str], attacks: Iterable[Attack], announcers: Iterable[str]) -> AnnouncementEvent:
+        return cls(frozenset(args), frozenset((s, t) for s, t in attacks), frozenset(announcers))
 
 
 def restrict(f: ArgumentationFrame, keep: Iterable[str]) -> ArgumentationFrame:

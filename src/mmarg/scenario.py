@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, IO, Mapping
 
-from .dynamics import AnnouncementError, AnnouncementEvent, TrustPolicy, Verdict, _step, update
-from .frames import ArgumentationFrame
+from .dynamics import AnnouncementError, TrustPolicy, Verdict, _step, update
+from .frames import AnnouncementEvent, ArgumentationFrame
 from .semantics import ExtensionSet, SemanticsKind, semantics, sorted_extensions
 from .state import (
     VIEWS,
@@ -37,10 +37,17 @@ from . import state
 # Largest |trust| a scenario document may state.
 TRUST_CAP = 1000
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+# The keys a document, an argument declaration, a frame object and a policy may hold; a script step is a
+# frame object that may also hold announcers.
+_DOC_KEYS = frozenset({"notes", "arguments", "global_attacks", "scopes", "awareness", "public", "gsem", "factual",
+                      "trust", "omega_overrides", "script", "policy"})
+_ARGUMENT_KEYS = frozenset({"id", "owner", "label"})
+_FRAME_KEYS = frozenset({"args", "attacks"})
+_POLICY_KEYS = frozenset({"honest", "dishonest"})
 
 
 class ScenarioParseError(ValueError):
-    """Malformed document: bad JSON, a wrong type, a missing key, an empty or duplicate id, a bad attack
+    """Malformed document: bad JSON, a wrong type, a missing or unknown key, an empty or duplicate id, a bad attack
     entry, a scope that misses an owned argument or lists an id twice, or an unknown agent name."""
 
 
@@ -91,25 +98,23 @@ class Trace:
     error: tuple[str, ...] = ()
 
 
-def _as_attacks(raw: Any, where: str) -> frozenset[tuple[str, str]]:
-    if not isinstance(raw, list):
-        raise ScenarioParseError(f"{where} must be a list of [source, target] pairs")
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str)):
-            raise ScenarioParseError(f"{where}: bad attack entry {item!r}")
-    return frozenset(map(tuple, raw))
-
-
 def _as_frame(raw: Any, where: str, make: Callable[..., Any] = ArgumentationFrame) -> Any:
-    """``make(args, attacks)`` from an object with args/attacks; its ``ValueError`` becomes a parse error."""
+    """``make(args, attacks)`` from an object holding only args/attacks; its ``ValueError`` becomes a parse error."""
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{where} must be an object with args/attacks")
+    if not raw.keys() <= _FRAME_KEYS:
+        raise ScenarioParseError(f"{where}: unknown key {min(raw.keys() - _FRAME_KEYS, key=repr)!r}")
     args = raw.get("args", [])
     if not (isinstance(args, list) and all(isinstance(a, str) for a in args)):
         raise ScenarioParseError(f"{where}: args must be a list of ids")
-    attacks = _as_attacks(raw.get("attacks", []), where)
+    attacks = raw.get("attacks", [])
+    if not isinstance(attacks, list):
+        raise ScenarioParseError(f"{where} must be a list of [source, target] pairs")
+    for item in attacks:
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise ScenarioParseError(f"{where}: bad attack entry {item!r}")
     try:
-        return make(frozenset(args), attacks)
+        return make(frozenset(args), frozenset(map(tuple, attacks)))
     except ValueError as exc:
         raise ScenarioParseError(f"{where}: {exc}") from exc
 
@@ -149,6 +154,8 @@ def parse_scenario(doc: Any) -> Scenario:
     for key in ("arguments", "global_attacks", "scopes", "awareness", "gsem", "factual", "trust", "script"):
         if key not in doc:
             raise ScenarioParseError(f"missing top-level key {key!r}")
+    if not doc.keys() <= _DOC_KEYS:
+        raise ScenarioParseError(f"unknown top-level key {min(doc.keys() - _DOC_KEYS, key=repr)!r}")
     if not isinstance(doc.get("notes", ""), str):
         raise ScenarioParseError("notes must be a string")
 
@@ -163,6 +170,8 @@ def parse_scenario(doc: Any) -> Scenario:
         a = raw["id"]
         if not a:
             raise ScenarioParseError("arguments: argument ids must be nonempty strings, got ''")
+        if not raw.keys() <= _ARGUMENT_KEYS:
+            raise ScenarioParseError(f"argument {a}: unknown key {min(raw.keys() - _ARGUMENT_KEYS, key=repr)!r}")
         if a in owners:
             raise ScenarioParseError(f"duplicate argument id {a!r}")
         owners[a] = raw["owner"]
@@ -210,7 +219,7 @@ def parse_scenario(doc: Any) -> Scenario:
     violations: list[Violation] = []
     trust: dict[Pair, int] = {}
     for pair, value in _matrix(doc["trust"], agents, "trust").items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not state._is_int(value):
             raise ScenarioParseError(f"trust{pair} must be an integer")
         if abs(value) > TRUST_CAP:
             violations.append(Violation("trust range", f"trust{pair} = {value} exceeds the cap {TRUST_CAP}"))
@@ -248,16 +257,19 @@ def parse_scenario(doc: Any) -> Scenario:
     for i, raw in enumerate(doc["script"], 1):
         if not isinstance(raw, dict):
             raise ScenarioParseError(f"script step {i} must be an object")
-        announcers = raw.get("announcers", [])
+        event = dict(raw)
+        announcers = event.pop("announcers", [])
         if not (isinstance(announcers, list) and all(isinstance(a, str) for a in announcers)):
             raise ScenarioParseError(f"script step {i}: announcers must be a list of agent names")
         if not set(announcers) <= scope.keys():
             raise ScenarioParseError(f"script step {i}: unknown announcer")
-        script.append(_as_frame(raw, f"script step {i}", functools.partial(AnnouncementEvent, announcers=frozenset(announcers))))
+        script.append(_as_frame(event, f"script step {i}", functools.partial(AnnouncementEvent, announcers=frozenset(announcers))))
 
     policy_raw = doc.get("policy", {})
     if not isinstance(policy_raw, dict):
         raise ScenarioParseError("policy must be an object")
+    if not policy_raw.keys() <= _POLICY_KEYS:
+        raise ScenarioParseError(f"policy: unknown key {min(policy_raw.keys() - _POLICY_KEYS, key=repr)!r}")
     deltas = [policy_raw.get(key, 1) for key in ("honest", "dishonest")]
     try:
         policy = TrustPolicy(*deltas)
@@ -306,11 +318,11 @@ def _pair_matrix_doc(values: Mapping[Pair, Any], conv=lambda x: x) -> dict:
     return out
 
 
-def scenario_to_doc(sc: Scenario) -> dict:
+def dumps_scenario(sc: Scenario) -> str:
     m = sc.initial
     agents = sorted(m.agents)
     owner = {a: e for e in agents for a in m.scope[e]}
-    return {
+    return json.dumps({
         "notes": sc.notes,
         "arguments": [{"id": a, "owner": owner[a], "label": sc.labels.get(a, "")} for a in sorted(m.global_af.args)],
         "global_attacks": [list(p) for p in sorted(m.global_af.attacks)],
@@ -323,11 +335,7 @@ def scenario_to_doc(sc: Scenario) -> dict:
         "omega_overrides": _pair_matrix_doc(m.overrides, _frame_doc),
         "script": [{"announcers": sorted(ev.announcers), **_frame_doc(ev)} for ev in sc.script],
         "policy": {"honest": sc.policy.delta_honest, "dishonest": sc.policy.delta_dishonest},
-    }
-
-
-def dumps_scenario(sc: Scenario) -> str:
-    return json.dumps(scenario_to_doc(sc), indent=2, sort_keys=True) + "\n"
+    }, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

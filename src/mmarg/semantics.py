@@ -66,6 +66,8 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
     attacker that is undecided, itself, or unassigned.  An argument labelled
     otherwise than accepted may have been the last such attacker of a
     rejected or undecided target, so those targets are re-checked then.
+    The search recurses once per undecided argument; past the interpreter's
+    recursion limit it raises ``ValueError`` naming how many there are.
     """
     g = _grounded_mask(n, attackers, targets)
     g_out = _attacked_by(g, targets)
@@ -108,7 +110,11 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
         if not (att | tgt) & in_m and att & (un_m | b | rest):
             search(k + 1, in_m, out_m, un_m | b)
 
-    search(0, g, g_out, 0)
+    try:
+        search(0, g, g_out, 0)
+    except RecursionError:
+        msg = f"frame too deep to solve: {len(free)} undecided arguments exceed the recursion limit"
+        raise ValueError(msg) from None
     return results
 
 

@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,6 +131,50 @@ def test_unreadable_input_or_output_is_exit_3(case, tmp_path, capsys):
     assert main(argv) == EX_PARSE
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
+
+
+class FullStdout:
+    """A standard output on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "mafia_endgame"],
+    ["query", "mafia_endgame", "--viewer", "e1", "--view", "aware"],
+])
+def test_a_failed_write_to_stdout_names_stdout(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(argv) == EX_PARSE
+    assert capsys.readouterr().err == "cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device on which every write fails")
+def test_a_failed_write_to_a_file_names_the_file(capsys):
+    # Opening the device succeeds; the write fails, raising an error that carries no file name of its own.
+    assert main(["run", FIXTURE, "--trace", "/dev/full"]) == EX_PARSE
+    assert capsys.readouterr().err == "cannot write /dev/full: No space left on device\n"
+
+
+def test_a_frame_too_deep_to_solve_is_an_error_not_a_traceback(tmp_path, capsys):
+    # A one-agent scenario whose awareness is a 3000-argument even cycle: the grounded labelling
+    # decides nothing, so the complete search would recurse once per argument.
+    ids = [f"a{i}" for i in range(3000)]
+    attacks = [[a, ids[i - 1]] for i, a in enumerate(ids)]
+    doc = {
+        "arguments": [{"id": a, "owner": "e1"} for a in ids],
+        "global_attacks": attacks,
+        "scopes": {"e1": ids},
+        "awareness": {"e1": {"args": ids, "attacks": attacks}},
+        "gsem": {"e1": {"e1": "complete"}},
+        "factual": {"e1": {"e1": []}},
+        "trust": {"e1": {"e1": 0}},
+        "script": [],
+    }
+    assert main(["query", write_doc(tmp_path, doc), "--viewer", "e1", "--view", "aware"]) == EX_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: frame too deep to solve: 3000 undecided arguments exceed the recursion limit\n"
 
 
 def test_run_writes_trace(tmp_path, capsys):

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mmarg.dynamics import AnnouncementEvent
-from mmarg.frames import ArgumentationFrame, combine, restrict
+from mmarg.frames import AnnouncementEvent, ArgumentationFrame, combine, restrict
 
 
 def f(args, attacks=()):

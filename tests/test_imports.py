@@ -1,7 +1,7 @@
 """The library imports nothing outside the standard library, its search has one entry, ``semantics``,
 the solver's module defines nothing else public, the preference module defines only ``adjust`` and
-``derive_inter``, a verdict is computed in one place, ``dynamics._step``, and the scenario parser
-builds no violation but the trust cap's."""
+``derive_inter``, a verdict is computed in one place, ``dynamics._step``, the scenario parser
+builds no violation but the trust cap's, and ``frames.py`` imports nothing of the package."""
 
 import ast
 import sys
@@ -105,7 +105,7 @@ def test_a_verdict_is_computed_only_by_the_replay_step():
     assert callers_of(SRC / "dynamics.py", {"_verdict"}) == {"_verdict": ["_step"]}
 
 
-PARSE_HELPERS = {"load_scenario", "parse_scenario", "_as_attacks", "_as_frame", "_matrix"}
+PARSE_HELPERS = {"load_scenario", "parse_scenario", "_as_frame", "_matrix"}
 
 
 def eager_messages(path: Path, functions: set[str]) -> list[tuple[str, int]]:
@@ -134,6 +134,23 @@ def test_parse_checks_build_their_message_only_when_they_raise():
     tops = {getattr(top, "name", None) for top in ast.parse((SRC / "scenario.py").read_text(encoding="utf-8")).body}
     assert PARSE_HELPERS <= tops
     assert eager_messages(SRC / "scenario.py", PARSE_HELPERS) == []
+
+
+def test_frames_is_the_bottom_layer():
+    # Both attack-graph shapes and the id rule live in frames.py, which imports nothing of the package,
+    # so no import cycle (a TYPE_CHECKING one included) can return; no module reaches into it for a private name.
+    tree = ast.parse((SRC / "frames.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert {"ArgumentationFrame", "AnnouncementEvent"} <= defined_names(SRC / "frames.py")
+    private = {
+        (path.name, alias.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "frames"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert not private
 
 
 def test_no_library_module_imports_importlib():

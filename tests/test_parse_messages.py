@@ -9,13 +9,16 @@ Two goldens under ``tests/data/``:
   over the bundled fixtures as ``dumps_scenario`` writes them, each with its
   outcome (``ok``, or the exception type and message).
 
-Both were written by the code before its checks were rewritten, and last
+Both were written by the code before its checks were rewritten, and
 regenerated when the parser stopped restating conditions of the state.  Scope
 overlap, awareness or public outside the global frame and an override of an
 unknown subject now read as ``validate`` words them; a global attack on an
 undeclared argument and an empty announcer list as the frame constructors word
-them.  No outcome moved between ``ok`` and an error.  Regenerate them only when
-a message is meant to change::
+them.  No outcome moved between ``ok`` and an error then.  They were last
+regenerated when the parser began rejecting unknown keys, which moved five
+corpus outcomes: three from ``ok`` and one from a validation error to a parse
+error, and one parse error to another message.  Regenerate them only when a
+message is meant to change::
 
     PYTHONPATH=src python tests/test_parse_messages.py
 
@@ -58,12 +61,14 @@ VARIANTS: dict[str, Any] = {
     "document not an object": ([], []),
     "missing top-level key": (["trust"], DELETE),
     "notes not a string": (["notes"], 7),
+    "unknown top-level key": (["omega_override"], {"e1": {}}),
     "arguments not a list": (["arguments"], {}),
     "argument owner not a string": (["arguments", 0, "owner"], 7),
     "argument label null": (["arguments", 0, "label"], None),
     "argument declaration not an object": (["arguments", 0], "a1"),
     "empty argument id": (["arguments", 0, "id"], ""),
     "duplicate argument id": (["arguments", 1, "id"], "a1"),
+    "argument declaration unknown key": (["arguments", 0, "lable"], "x"),
     "scopes empty": (["scopes"], {}),
     "scopes not an object": (["scopes"], ["e1"]),
     "argument owned by an unknown agent": (["arguments", 0, "owner"], "e9"),
@@ -82,6 +87,7 @@ VARIANTS: dict[str, Any] = {
     "awareness args not a list": (["awareness", "e1", "args"], "a1"),
     "awareness arg not a string": (["awareness", "e1", "args", 0], 1),
     "awareness attacks not a list": (["awareness", "e1", "attacks"], {}),
+    "awareness frame unknown key": (["awareness", "e1", "atacks"], []),
     "awareness attack entry not strings": (["awareness", "e1", "attacks", 0], [1, 2]),
     "awareness attack dangles": (["awareness", "e1", "attacks", 0], ["a1", "a9"]),
     "awareness empty argument id": (["awareness", "e1", "args", 0], ""),
@@ -124,9 +130,12 @@ VARIANTS: dict[str, Any] = {
     "script attack entry bad": (["script", 1, "attacks", 0], ["a4"]),
     "script attack touching none of its args": (["script", 1, "attacks"], [["y", "z"]]),
     "script empty argument id": (["script", 1, "args"], ["a4", ""]),
+    "script step unknown key": (["script", 1, "atacks"], [["a4", "a5"]]),
     "policy not an object": (["policy"], []),
     "policy step negative": (["policy", "honest"], -1),
     "policy step not an integer": (["policy", "dishonest"], "1"),
+    "policy unknown key": (["policy", "honset"], 5),
+    "policy holds a frame": (["policy"], {"args": [], "attacks": []}),
 }
 
 

@@ -196,6 +196,16 @@ def test_grounded_seeded_search_matches_oracle_on_random_frames():
     assert seen == {"all", "none", "part"}
 
 
+def test_a_frame_too_deep_for_the_search_is_refused_with_a_value_error():
+    # An even cycle leaves every argument undecided, so the search would recurse 3000 deep;
+    # the grounded extension takes no search.
+    frame = _join(_cycle(3000))
+    assert semantics(SemanticsKind.GROUNDED, frame) == {frozenset()}
+    for kind in (SemanticsKind.COMPLETE, SemanticsKind.PREFERRED):
+        with pytest.raises(ValueError, match="^frame too deep to solve: 3000 undecided arguments"):
+            semantics(kind, frame)
+
+
 def test_matches_oracle_on_frames_shaped_like_solve_dense():
     """13 arguments, with exactly 30% of the 169 ordered pairs attacking, self-pairs included."""
     rng = random.Random(13)
