@@ -13,7 +13,10 @@ and quartiles of the per-pair change/base ratios (machine drift within a
 session widens each side's quartiles but moves both runs of a pair), how
 many pairs the change won (ties count for neither side) and a verdict:
 ``gain shown``, ``worse than bound`` or ``no change shown`` (see
-:func:`verdict`).  Exits 1 when any run reports ``"correct": false``.
+:func:`verdict`).  A last ``attempted`` line gives each side's median and
+quartiles of attempted ops and their change/base ratio, so a move in
+``peak_rss_mb`` can be read against the op count that drives it.  Exits 1
+when any run reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,11 @@ def pair_lines(i: int, base: dict, change: dict, metrics: list[dict]) -> list[st
     return lines
 
 
+def spread(q: tuple[float, float, float]) -> str:
+    """``median [first quartile, third quartile]``."""
+    return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
 def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
     """Per metric: each side's median and quartiles, the change/base ratio of medians, the median and
     quartiles of the per-pair change/base ratios, the wins."""
@@ -70,19 +78,27 @@ def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> 
         bv = [r["metrics"][name]["value"] for r in base]
         cv = [r["metrics"][name]["value"] for r in change]
         wins = sum(sign * (y - x) > 0 for x, y in zip(bv, cv))
-        (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(bv), quartiles(cv)
+        bq, cq = quartiles(bv), quartiles(cv)
+        bmed, cmed = bq[1], cq[1]
         ratio = f"{cmed / bmed:.3f}" if bmed else "n/a"
         pair_ratios = "n/a"
         if all(bv):
             rq1, rmed, rq3 = quartiles([y / x for x, y in zip(bv, cv)])
             pair_ratios = f"{rmed:.3f} [{rq1:.3f}, {rq3:.3f}]"
         lines.append(
-            f"{name} ({m['unit']}, {m['better']} is better): base {bmed:.6g} [{bq1:.6g}, {bq3:.6g}]  "
-            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  change/base {ratio}  pair ratios {pair_ratios}  "
+            f"{name} ({m['unit']}, {m['better']} is better): base {spread(bq)}  "
+            f"change {spread(cq)}  change/base {ratio}  pair ratios {pair_ratios}  "
             f"change wins {wins} of {len(bv)}  "
-            + verdict(sign, m["bound"], wins / len(bv), (bq1, bmed, bq3), cmed)
+            + verdict(sign, m["bound"], wins / len(bv), bq, cmed)
         )
     return lines
+
+
+def attempted_line(base: list[dict], change: list[dict]) -> str:
+    """Each side's median and quartiles of attempted ops per run, and the change/base ratio of medians."""
+    bq, cq = (quartiles([r["attempted"] for r in side]) for side in (base, change))
+    ratio = f"{cq[1] / bq[1]:.3f}" if bq[1] else "n/a"
+    return f"attempted (ops per run, which peak_rss_mb grows with): base {spread(bq)}  change {spread(cq)}  change/base {ratio}"
 
 
 def verdict(sign: int, bound: float, win_share: float, base: tuple[float, float, float], change_median: float) -> str:
@@ -119,7 +135,7 @@ def main(argv: list[str] | None = None, run: Runner = run_bench) -> int:
         for side in ((0, 1) if i % 2 else (1, 0)):
             results[side].append(parse_result(run(checkouts[side], ns.workload, ns.seed, ns.seconds)))
         print("\n".join(pair_lines(i, results[0][-1], results[1][-1], metrics)), flush=True)
-    print("\n".join(["", *summary_lines(*results, metrics)]))
+    print("\n".join(["", *summary_lines(*results, metrics), attempted_line(*results)]))
     wrong = [(name, i) for name, side in zip(("base", "change"), results)
              for i, r in enumerate(side, start=1) if r["correct"] is not True]
     for name, i in wrong:

@@ -73,7 +73,12 @@ def _emit(text: str, path: str | None) -> None:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
+        if not path and sys.stdout is sys.__stdout__:
+            # What stays buffered would fail again in the interpreter's exit flush: send it nowhere.
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         exc.filename = path or "<stdout>"
         raise
 

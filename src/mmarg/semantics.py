@@ -5,11 +5,11 @@ Complete extensions are enumerated through a three-valued labelling search
 (every argument ends up accepted, rejected, or undecided) that starts from
 the grounded labelling, which every complete labelling extends: the
 grounded set is accepted, everything it attacks is rejected, and only the
-arguments left undecided are searched.  Each label's obligation is checked
-when the argument is labelled and again when its last possible supporting
-attacker is, so every leaf is a complete labelling.  Preferred extensions
-are the maximal complete ones.  All results are exact sets of extensions,
-never approximations.
+arguments left undecided are searched, the most-attacking first.  Each
+label's obligation is checked when the argument is labelled and again when
+its last possible supporting attacker is, so every leaf is a complete
+labelling.  Preferred extensions are the maximal complete ones.  All results
+are exact sets of extensions, never approximations.
 
 The brute-force subset filter in :mod:`mmarg.oracle` re-derives the same
 semantics straight from the definitions and deliberately shares none of
@@ -57,9 +57,10 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
 
     Every complete labelling extends the grounded one, so the grounded set
     starts accepted, everything it attacks starts rejected, and only the
-    arguments left over are searched, in index order.  Each obligation is
-    checked at the node where it can first fail, so every leaf is a complete
-    labelling.  Accepting demands no self-attack and no accepted or undecided
+    arguments left over are searched, most targets first, then fewest
+    attackers, then index order.  Each obligation is checked at the node
+    where it can first fail, so every leaf is a complete labelling, whatever
+    the order.  Accepting demands no self-attack and no accepted or undecided
     attacker/target so far; later neighbours can then be neither.  Rejecting
     demands an attacker that is accepted, or unassigned and not
     self-attacking.  Leaving undecided demands no accepted neighbour and an
@@ -72,7 +73,8 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
     g = _grounded_mask(n, attackers, targets)
     g_out = _attacked_by(g, targets)
     decided = g | g_out
-    free = [i for i in range(n) if not decided >> i & 1]
+    free = sorted((i for i in range(n) if not decided >> i & 1),
+                  key=lambda i: (-targets[i].bit_count(), attackers[i].bit_count()))
     if not free:
         return [g]
     loops = sum(1 << i for i in free if attackers[i] >> i & 1)

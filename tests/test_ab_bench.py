@@ -55,6 +55,11 @@ def test_pairs_alternate_and_the_summary_reads_medians_quartiles_ratio_and_wins(
     setup = next(line for line in out.splitlines() if line.startswith("setup_s"))
     assert "change/base 1.000" in setup and "pair ratios 1.000 [1.000, 1.000]" in setup
     assert "change wins 0 of 4" in setup
+    # Attempted ops (20 per op/s in the canned runs) follow peak_rss_mb, with each side's spread and the ratio.
+    lines = out.splitlines()
+    attempted = next(line for line in lines if line.startswith("attempted ("))
+    assert lines.index(attempted) == lines.index(next(line for line in lines if line.startswith("peak_rss_mb"))) + 1
+    assert "base 1010 [990, 1025]  change 1420 [1285, 1455]  change/base 1.406" in attempted
 
 
 def test_lower_is_better_metrics_count_a_drop_as_a_win():

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -155,6 +156,17 @@ def test_a_failed_write_to_a_file_names_the_file(capsys):
     # Opening the device succeeds; the write fails, raising an error that carries no file name of its own.
     assert main(["run", FIXTURE, "--trace", "/dev/full"]) == EX_PARSE
     assert capsys.readouterr().err == "cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device on which every write fails")
+def test_a_buffered_stdout_on_a_full_device_is_exit_3_with_one_line():
+    # Buffered, the write only fills the buffer: the flush fails, and nothing may be left for the exit flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "mmarg.cli", "validate", "mafia_endgame"], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (EX_PARSE, "cannot write <stdout>: No space left on device\n")
 
 
 def test_a_frame_too_deep_to_solve_is_an_error_not_a_traceback(tmp_path, capsys):

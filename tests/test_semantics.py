@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmarg.frames import ArgumentationFrame
-from mmarg.oracle import _conflict_free, _defends, oracle_semantics
+from mmarg.oracle import _conflict_free, _defends, oracle_semantics, random_frame
 from mmarg.semantics import SemanticsKind, semantics, sorted_extensions
 
 
@@ -204,6 +205,14 @@ def test_a_frame_too_deep_for_the_search_is_refused_with_a_value_error():
     for kind in (SemanticsKind.COMPLETE, SemanticsKind.PREFERRED):
         with pytest.raises(ValueError, match="^frame too deep to solve: 3000 undecided arguments"):
             semantics(kind, frame)
+
+
+def test_the_seeded_30_argument_frame_at_density_0_3_solves_within_3_cpu_seconds():
+    # Branching on the most-attacking argument first takes about 0.4 s here; index order took 7-9 s.
+    frame = random_frame(random.Random(30 * 100 + 30), 30, 0.3)
+    start = time.process_time()
+    semantics(SemanticsKind.COMPLETE, frame)
+    assert time.process_time() - start < 3.0
 
 
 def test_matches_oracle_on_frames_shaped_like_solve_dense():

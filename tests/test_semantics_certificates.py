@@ -4,7 +4,8 @@ Dung (AIJ 77, 1995): a complete extension is conflict-free, defends each of
 its members and contains every argument it defends; a preferred extension is
 a maximal complete one; the grounded extension is the least complete one,
 the intersection of them all.  Each of these is checked in polynomial time
-on frames of 14-25 arguments, too large to enumerate subsets of cheaply.
+on frames of 14-25 arguments, too large to enumerate subsets of cheaply, and
+on the seeded 30- and 40-argument frames of :func:`mmarg.random_frame`.
 Exact references for 20 arguments come from disjoint unions of two
 oracle-checked halves, whose extensions are exactly the unions of one
 extension of each half.  Renaming the arguments must rename the extensions.
@@ -12,7 +13,8 @@ All three kinds are directional (Baroni and Giacomin, AIJ 171, 2007): on a
 set that no attack from outside enters, the extensions cut to the set are
 exactly the extensions of the frame restricted to it.
 
-Only :func:`mmarg.semantics` and :func:`mmarg.oracle_semantics` are called.
+Only :func:`mmarg.semantics` and :func:`mmarg.oracle_semantics` are called;
+:func:`mmarg.random_frame` only draws frames.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import random
 
 import pytest
 
-from mmarg import ArgumentationFrame, SemanticsKind, oracle_semantics, semantics
+from mmarg import ArgumentationFrame, SemanticsKind, oracle_semantics, random_frame as seeded_frame, semantics
 
 
 def random_frame(rng, ids, density, mutual):
@@ -58,7 +60,8 @@ def assert_complete(ext, f):
 
 
 def assert_certified(f):
-    complete, preferred, grounded = (semantics(kind, f) for kind in SemanticsKind)
+    """Check the extensions of each kind of ``f`` against the definitions, and return them."""
+    complete, preferred, grounded = exts = tuple(semantics(kind, f) for kind in SemanticsKind)
     assert complete
     for ext in complete:
         assert_complete(ext, f)
@@ -69,6 +72,7 @@ def assert_certified(f):
     (g,) = grounded
     assert g == frozenset.intersection(*complete)
     assert g in complete
+    return exts
 
 
 CERTIFIED = [(seed, *shape) for seed, shape in enumerate(itertools.product((14, 17, 20, 22, 25), (0.05, 0.1, 0.2), (0.03, 0.08)))]
@@ -78,6 +82,18 @@ CERTIFIED = [(seed, *shape) for seed, shape in enumerate(itertools.product((14, 
 def test_extensions_carry_their_certificates(seed, n, density, mutual):
     rng = random.Random(seed)
     assert_certified(random_frame(rng, mixed_ids(rng, n), density, mutual))
+
+
+@pytest.mark.parametrize("n, density", [(30, 0.3), (40, 0.1)])
+def test_seeded_frames_past_25_arguments_carry_their_certificates_under_any_names(n, density):
+    f = seeded_frame(random.Random(n * 100 + int(density * 100)), n, density)
+    complete, _, grounded = assert_certified(f)
+    # Sorted mixed ids put the arguments in another index order, so the search breaks its ties differently.
+    # Preferred is the same search's maximal sets, so complete and grounded cover the renaming.
+    name = dict(zip(sorted(f.args), mixed_ids(random.Random(n), n)))
+    renamed = ArgumentationFrame.of(name.values(), [(name[a], name[b]) for a, b in f.attacks])
+    for kind, found in ((SemanticsKind.COMPLETE, complete), (SemanticsKind.GROUNDED, grounded)):
+        assert semantics(kind, renamed) == frozenset(frozenset(name[a] for a in e) for e in found)
 
 
 @pytest.mark.parametrize("seed", range(4))
