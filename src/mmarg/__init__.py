@@ -19,6 +19,7 @@ from .state import (
     VIEWS,
     MmaState,
     Violation,
+    ViolationsError,
     adjusted_perceived,
     perceived,
     public_model,

@@ -48,18 +48,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _resolve(path: str) -> str:
-    if os.path.exists(path):
-        return path
-    try:
-        return fixture_path(path)
-    except FileNotFoundError:
-        return path
-
-
 def _load(path: str) -> Scenario:
+    """The scenario at ``path``, or else the bundled one of that name; a file that cannot be read is a parse error."""
     try:
-        with open(_resolve(path), "rb") as fh:
+        path = path if os.path.exists(path) else fixture_path(path)
+    except FileNotFoundError:
+        pass
+    try:
+        with open(path, "rb") as fh:
             return load_scenario(fh)
     except OSError as exc:
         raise ScenarioParseError(str(exc)) from exc
@@ -83,14 +79,6 @@ def _emit(text: str, path: str | None) -> None:
         raise
 
 
-def _policy(text: str) -> TrustPolicy:
-    try:
-        honest, dishonest = (int(x) for x in text.split(","))
-        return TrustPolicy(honest, dishonest)
-    except ValueError as exc:
-        raise ScenarioParseError(f"bad --policy value {text!r}: {exc} (expected H,D)") from exc
-
-
 def cmd_validate(ns) -> int:
     _load(ns.file)
     _emit(f"{ns.file}: valid\n", None)
@@ -100,7 +88,11 @@ def cmd_validate(ns) -> int:
 def cmd_run(ns) -> int:
     sc = _load(ns.file)
     if ns.policy is not None:
-        sc = replace(sc, policy=_policy(ns.policy))
+        try:
+            honest, dishonest = (int(x) for x in ns.policy.split(","))
+            sc = replace(sc, policy=TrustPolicy(honest, dishonest))
+        except ValueError as exc:
+            raise ScenarioParseError(f"bad --policy value {ns.policy!r}: {exc} (expected H,D)") from exc
     trace: Trace = run(sc, with_semantics=ns.with_semantics)
     _emit(dumps_trace(trace), ns.trace)
     if trace.error_step is not None:

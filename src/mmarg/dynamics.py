@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 from .frames import AnnouncementEvent, ArgumentationFrame, combine
 from .semantics import ExtensionSet, SemanticsKind, semantics
 from .preferences import adjust
-from .state import MmaState, Pair, Violation, _is_int, perceived, public_model
+from .state import MmaState, Pair, Violation, ViolationsError, _is_int, perceived, public_model
 
 Solve = Callable[[SemanticsKind, ArgumentationFrame], ExtensionSet]
 
@@ -56,12 +56,8 @@ class TrustPolicy:
             raise ValueError("trust deltas must be non-negative")
 
 
-class AnnouncementError(ValueError):
+class AnnouncementError(ViolationsError):
     """Raised when an event fails the announcement preconditions."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        super().__init__("; ".join(str(v) for v in violations))
 
 
 def check_announcement(m: MmaState, ev: AnnouncementEvent) -> list[Violation]:

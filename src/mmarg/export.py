@@ -28,21 +28,14 @@ def to_dot(m: MmaState, frame: ArgumentationFrame, labels: dict[str, str] | None
         lines.append(f"  subgraph {_quote('cluster_' + e)} {{")
         lines.append(f"    label={_quote('scope ' + e)};")
         for a in members:
-            lines.append("    " + _node_line(a, labels.get(a, ""), a in m.public_af.args))
+            text = f"{a}: {labels[a]}" if labels.get(a) else a
+            fill = ", style=filled, fillcolor=lightgoldenrod" if a in m.public_af.args else ""
+            lines.append(f"    {_quote(a)} [label={_quote(text)}{fill}];")
         lines.append("  }")
     for s, t in sorted(frame.attacks):
         lines.append(f"  {_quote(s)} -> {_quote(t)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _node_line(arg: str, label: str, public: bool) -> str:
-    text = f"{arg}: {label}" if label else arg
-    attrs = [f"label={_quote(text)}"]
-    if public:
-        attrs.append("style=filled")
-        attrs.append("fillcolor=lightgoldenrod")
-    return f"{_quote(arg)} [{', '.join(attrs)}];"
 
 
 def export_graph(m: MmaState, selector: str, labels: dict[str, str] | None = None) -> str:

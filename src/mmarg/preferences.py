@@ -38,24 +38,22 @@ def adjust(f: ArgumentationFrame, factual: frozenset[str], strict: frozenset[Att
 def derive_inter(m: "MmaState", e: str) -> frozenset[Attack]:
     """The strict pairs of agent ``e``'s trust order over mutually conflicting public arguments.
 
-    A pair of arguments qualifies when they attack each other publicly, both
-    lie inside ``e``'s awareness, and ``e`` holds neither to be factual; the
-    argument of the strictly less trusted owner (every argument of a valid
-    state has exactly one) then sits below the other's, and equally trusted
-    owners leave the pair unordered.  Recomputed on demand: both the public
-    record and the trust matrix move under updates.  The argument -> owner
-    map is built only once some pair has passed the other filters.
+    A pair of arguments qualifies when they attack each other publicly and
+    ``e`` holds neither to be factual (both lie in ``e``'s awareness by public
+    subsumption, checked once, by :func:`~mmarg.state.validate`); the argument
+    of the strictly less trusted owner (every argument of a valid state has
+    exactly one) then sits below the other's, and equally trusted owners leave
+    the pair unordered.  Recomputed on demand: both the public record and the
+    trust matrix move under updates.  The argument -> owner map is built only
+    once some pair has passed the other filters.
     """
     m.require_agents(e)
-    aware_args = m.aware[e].args
     factual = m.intra[(e, e)]
     pub = m.public_af.attacks
     owner: dict[str, str] | None = None
     strict = set()
     for a1, a2 in pub:
         if (a2, a1) not in pub:
-            continue
-        if a1 not in aware_args or a2 not in aware_args:
             continue
         if a1 in factual or a2 in factual:
             continue

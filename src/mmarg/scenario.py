@@ -29,6 +29,7 @@ from .state import (
     MmaState,
     Pair,
     Violation,
+    ViolationsError,
     trust_adjusted_public_model,
     validate,
 )
@@ -51,12 +52,8 @@ class ScenarioParseError(ValueError):
     entry, a scope that misses an owned argument or lists an id twice, or an unknown agent name."""
 
 
-class ScenarioValidationError(ValueError):
+class ScenarioValidationError(ViolationsError):
     """Well-formed document describing an ill-formed state: ``validate``'s violations or a ``trust range``."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        super().__init__("; ".join(str(v) for v in violations))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ this code.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 from .frames import ArgumentationFrame
 
@@ -31,25 +30,6 @@ class SemanticsKind(str, enum.Enum):
     COMPLETE = "complete"
     PREFERRED = "preferred"
     GROUNDED = "grounded"
-
-
-def _index(f: ArgumentationFrame) -> tuple[list[str], list[int], list[int]]:
-    order = sorted(f.args)
-    pos = {a: i for i, a in enumerate(order)}
-    attackers = [0] * len(order)
-    targets = [0] * len(order)
-    for s, t in f.attacks:
-        attackers[pos[t]] |= 1 << pos[s]
-        targets[pos[s]] |= 1 << pos[t]
-    return order, attackers, targets
-
-
-def _masks_to_extensions(masks: Iterable[int], order: list[str]) -> ExtensionSet:
-    out = set()
-    for m in masks:
-        ext = frozenset(order[i] for i in range(len(order)) if m >> i & 1)
-        out.add(ext)
-    return frozenset(out)
 
 
 def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[int]:
@@ -148,13 +128,20 @@ def semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
     """The complete, preferred (maximal complete) or grounded extensions of ``f``, the grounded one
     wrapped as a one-member set.  This is the only way into the search."""
     kind = SemanticsKind(kind)
-    order, attackers, targets = _index(f)
+    order = sorted(f.args)
+    pos = {a: i for i, a in enumerate(order)}
+    attackers = [0] * len(order)
+    targets = [0] * len(order)
+    for s, t in f.attacks:
+        attackers[pos[t]] |= 1 << pos[s]
+        targets[pos[s]] |= 1 << pos[t]
     if kind is SemanticsKind.GROUNDED:
-        return _masks_to_extensions([_grounded_mask(len(order), attackers, targets)], order)
-    masks = _complete_masks(len(order), attackers, targets)
+        masks = [_grounded_mask(len(order), attackers, targets)]
+    else:
+        masks = _complete_masks(len(order), attackers, targets)
     if kind is SemanticsKind.PREFERRED:
         masks = [m for m in masks if not any(m != m2 and m | m2 == m2 for m2 in masks)]
-    return _masks_to_extensions(masks, order)
+    return frozenset(frozenset(order[i] for i in range(len(order)) if m >> i & 1) for m in masks)
 
 
 def sorted_extensions(exts: ExtensionSet) -> list[list[str]]:

@@ -39,6 +39,14 @@ class Violation:
         return f"({self.condition}) {self.detail}"
 
 
+class ViolationsError(ValueError):
+    """Every :class:`Violation` found at once; the message joins them with ``; ``."""
+
+    def __init__(self, violations: list[Violation]):
+        self.violations = violations
+        super().__init__("; ".join(str(v) for v in violations))
+
+
 @dataclass(frozen=True)
 class MmaState:
     """One epistemic snapshot of a multi-agent argumentation.

@@ -52,7 +52,10 @@ def test_validate_parse_error(tmp_path, capsys):
 
 
 def test_validate_missing_file(capsys):
-    assert main(["validate", "/nonexistent/file.json"]) == EX_PARSE
+    # Neither a path nor a bundled name: the error names the path as given, not the bundled lookup.
+    for path in ("/nonexistent/file.json", "nosuch"):
+        assert main(["validate", path]) == EX_PARSE
+        assert capsys.readouterr().err == f"parse error: [Errno 2] No such file or directory: {path!r}\n"
 
 
 def test_validate_reports_violations(tmp_path, capsys):

@@ -21,6 +21,7 @@ from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
 from mmarg.scenario import bundled_scenarios, query, run, state_at
 from mmarg.state import (
+    ViolationsError,
     adjusted_perceived,
     perceived,
     perceived_lower_bound,
@@ -93,8 +94,11 @@ def test_unknown_announcer_flagged(mafia):
 
 def test_announce_rejects_invalid_event(mafia):
     m = state_at(mafia, 2)
-    with pytest.raises(AnnouncementError):
+    with pytest.raises(AnnouncementError) as info:
         announce(m, ev(["a9"], (), announcers=("e3",)))
+    assert isinstance(info.value, ViolationsError)
+    assert str(info.value) == "; ".join(str(v) for v in info.value.violations)
+    assert info.value.violations == check_announcement(m, ev(["a9"], (), announcers=("e3",)))
 
 
 def test_announce_expands_and_keeps_the_rest(mafia):

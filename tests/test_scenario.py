@@ -30,7 +30,7 @@ from mmarg.scenario import (
     state_at,
 )
 from mmarg.semantics import SemanticsKind, sorted_extensions
-from mmarg.state import MmaState, validate
+from mmarg.state import MmaState, ViolationsError, validate
 
 from conftest import load_bundled
 
@@ -107,6 +107,8 @@ def test_overlapping_scopes_fail_validation(mafia):
     doc["scopes"]["e1"].append("a4")  # a4 already sits in e2's scope
     with pytest.raises(ScenarioValidationError) as exc:
         parse_scenario(doc)
+    assert isinstance(exc.value, ViolationsError)
+    assert str(exc.value) == "; ".join(str(v) for v in exc.value.violations)
     assert any(v.condition == "local scopes" for v in exc.value.violations)
 
 

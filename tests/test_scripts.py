@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,9 @@ def test_the_cli_module_runs_as_a_script():
     done = run_python("-m", "mmarg.cli", "validate", "mafia_endgame")
     assert (done.returncode, done.stdout) == (EX_OK, "mafia_endgame: valid\n"), done.stderr
     assert run_python("-m", "mmarg.cli").returncode == EX_USAGE
+
+
+def test_the_output_digest_prints_a_count_and_a_sha256():
+    done = run_python(str(ROOT / "scripts" / "output_digest.py"))
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"[1-9][0-9]* [0-9a-f]{64}\n", done.stdout), done.stdout
