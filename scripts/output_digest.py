@@ -8,7 +8,10 @@ all of them in order.  The outputs are, for every bundled fixture and for
 the 120 seed-0 games of the benchmark's synth-replay workload, the trace
 with and without semantics and the scenario dump; then, at each fixture's
 last step, the DOT export of every :data:`mmarg.state.VIEWS` entry for
-every tuple of its agents.  The checkout's own ``src/`` and ``bench/`` are
+every tuple of its agents; last, both traces of five seeded 4-agent,
+12-argument games with every agent aware of the whole global frame, whose
+verdicts solve and detect deception (synth-replay's verdicts never solve).
+The checkout's own ``src/`` and ``bench/`` are
 put first on the import path, so running the script in two checkouts
 compares their code.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -24,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from mmarg import VIEWS, bundled_scenarios, dumps_scenario, dumps_trace, export_graph, fixture_path, load_scenario, run, state_at  # noqa: E402
+from gen import dumps, game_document  # noqa: E402
 from workloads import synth_generate  # noqa: E402
 
 
@@ -41,6 +46,13 @@ def outputs():
         for name, n in VIEWS:
             for agents in itertools.product(sorted(m.agents), repeat=n):
                 yield export_graph(m, ":".join((name, *agents)), sc.labels)
+    for seed in range(5):
+        doc = game_document(random.Random(seed), 4, 12, 0.15, 12)
+        every = {"args": [a["id"] for a in doc["arguments"]], "attacks": doc["global_attacks"]}
+        doc["awareness"] = {e: every for e in doc["awareness"]}
+        sc = load_scenario(dumps(doc))
+        for ws in (False, True):
+            yield dumps_trace(run(sc, with_semantics=ws))
 
 
 def main() -> int:

@@ -12,28 +12,24 @@ move the trust matrix by a policy's step sizes.
 
 :func:`step` is that whole replay step, done once: announce, the verdict
 matrix on the announced state, trust revision; it is the only place a
-verdict is computed, and :func:`update` is its revised state.  A step
-solves each distinct (semantics kind, frame) its verdicts ask for once: the
-pairs share one memo that lives only as long as the call, and every miss
-calls this module's ``semantics`` as it is bound at that moment.  A pair
-whose viewer sees nothing of the subject's scope beyond the public record
-models the subject by the public record itself, so the two semantics agree:
-it is judged by the factual test alone and solves nothing.
+verdict is computed, :func:`update` is its revised state, and
+``scenario.run`` and ``scenario.state_at`` fold it.  Nothing is memoised:
+every solve calls this module's ``semantics`` as it is bound at that
+moment.  A pair whose viewer sees nothing of the subject's scope beyond the
+public record models the subject by the public record itself, so the two
+semantics agree: it is judged by the factual test alone and solves nothing.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .frames import AnnouncementEvent, ArgumentationFrame, combine
-from .semantics import ExtensionSet, SemanticsKind, semantics
+from .frames import AnnouncementEvent, combine
+from .semantics import ExtensionSet, semantics
 from .preferences import adjust
 from .state import MmaState, Pair, Violation, ViolationsError, _is_int, perceived, public_model
-
-Solve = Callable[[SemanticsKind, ArgumentationFrame], ExtensionSet]
 
 
 class Verdict(str, enum.Enum):
@@ -117,8 +113,8 @@ def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet
     return frozenset(ext & keep for ext in exts)
 
 
-def _verdict(m2: MmaState, viewer: str, subject: str, checked: frozenset[str], solve: Solve) -> Verdict:
-    """Compare the trust-neutral public and local semantics on ``checked``, both solved through ``solve``.
+def _verdict(m2: MmaState, viewer: str, subject: str, checked: frozenset[str]) -> Verdict:
+    """Compare the trust-neutral public and local semantics on ``checked``.
 
     ``checked`` is the nonempty part of the subject's scope just announced.
     The viewer's model of the subject is built once.  When it is the public
@@ -131,8 +127,8 @@ def _verdict(m2: MmaState, viewer: str, subject: str, checked: frozenset[str], s
     if local == m2.public_af:
         return Verdict.HONEST if checked <= factual else Verdict.UNDETERMINED
     kind = m2.sem_model[(viewer, subject)]
-    src = restrict_extensions(solve(kind, public_model(m2, viewer, subject)), checked)
-    tgt = restrict_extensions(solve(kind, adjust(local, factual)), checked)
+    src = restrict_extensions(semantics(kind, public_model(m2, viewer, subject)), checked)
+    tgt = restrict_extensions(semantics(kind, adjust(local, factual)), checked)
     if not src & tgt:
         return Verdict.DISHONEST
     if src == tgt and checked <= factual:
@@ -152,22 +148,13 @@ def step(
     on any other subject is undetermined without building a frame.  A
     pair whose viewer's model of the subject is the public record is judged
     by the factual test alone, with no adjusted frame built and nothing
-    solved.  Each distinct (kind, frame) the other verdicts need is solved
-    once, through a memo made for this call.  Raises
-    :class:`AnnouncementError` for an invalid event.
+    solved.  Raises :class:`AnnouncementError` for an invalid event.
     """
-    return _step(m, ev, policy, functools.cache(semantics))
-
-
-def _step(
-    m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy, solve: Solve
-) -> tuple[MmaState, dict[Pair, Verdict], MmaState]:
-    """:func:`step` with every verdict's solves going through ``solve``, a memo the caller owns."""
     m2 = announce(m, ev)
     order = sorted(m.agents)
     checked = {s: ev.args & m2.scope[s] for s in order}
     verdicts = {
-        (v, s): _verdict(m2, v, s, checked[s], solve) if checked[s] else Verdict.UNDETERMINED
+        (v, s): _verdict(m2, v, s, checked[s]) if checked[s] else Verdict.UNDETERMINED
         for v in order
         for s in order
         if v != s

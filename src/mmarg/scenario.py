@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, IO, Mapping
 
-from .dynamics import AnnouncementError, TrustPolicy, Verdict, _step, update
+from .dynamics import AnnouncementError, TrustPolicy, Verdict, step, update
 from .frames import AnnouncementEvent, ArgumentationFrame
 from .semantics import ExtensionSet, SemanticsKind, semantics, sorted_extensions
 from .state import (
@@ -344,20 +344,19 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
     Replay halts at the first invalid event with the violations as the
     trace's diagnostic; the steps before it stay recorded.  With
     ``with_semantics`` each step also records every agent's ``trust-adjusted``
-    :func:`query` on the revised state, solved through the step's own memo, so a
-    (kind, frame) the verdicts already solved is not solved again; no memo outlives its step.
+    :func:`query` on the revised state.  Nothing is memoised: every solve is
+    a call to ``semantics`` as it is bound at that moment.
     """
     m = sc.initial
     steps: list[TraceStep] = []
     for k, ev in enumerate(sc.script, 1):
-        solve = functools.cache(semantics)
         try:
-            m2, verdicts, m3 = _step(m, ev, sc.policy, solve)
+            m2, verdicts, m3 = step(m, ev, sc.policy)
         except AnnouncementError as exc:
             return Trace(tuple(steps), m, error_step=k, error=tuple(str(v) for v in exc.violations))
         extras = None
         if with_semantics:
-            extras = {e: solve(m3.sem_model[(e, e)], trust_adjusted_public_model(m3, e)) for e in sorted(m3.agents)}
+            extras = {e: semantics(m3.sem_model[(e, e)], trust_adjusted_public_model(m3, e)) for e in sorted(m3.agents)}
         steps.append(
             TraceStep(
                 index=k,

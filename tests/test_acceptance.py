@@ -17,6 +17,7 @@ from mmarg.semantics import SemanticsKind, semantics
 from mmarg.state import adjusted_perceived, validate
 
 from conftest import random_announcement, random_state
+from independent_replay import independent_trust_deltas
 
 
 def ext(*groups):
@@ -198,75 +199,9 @@ def test_criterion_6_theorem_suites(mafia, mafia_dprime, mafia_trusts_e1, mafia_
                f"update non-identity, grounded laws on {len(frames_tested)} frames")
 
 
-def _independent_trust_deltas(sc):
-    """Pairwise-detection replay built on the brute-force oracle.
-
-    Keeps its own copies of the global attacks, the public record and
-    per-viewer awareness, advances them by hand, and derives each verdict
-    from oracle semantics and plain set arithmetic.  A scope's attacks are
-    the global attacks between two of its arguments, starting from the
-    document's and growing with every announced attack.  Shares no
-    detection, announcement or frame-combining code with the package.
-    """
-    agents = sorted(sc.initial.agents)
-    pub_args = set(sc.initial.public_af.args)
-    pub_atts = set(sc.initial.public_af.attacks)
-    fa_args = {e: set(sc.initial.aware[e].args) for e in agents}
-    fa_atts = {e: set(sc.initial.aware[e].attacks) for e in agents}
-    glob_atts = set(sc.initial.global_af.attacks)
-    scope_args = {e: set(sc.initial.scope[e]) for e in agents}
-    factual = {pair: set(p) for pair, p in sc.initial.intra.items()}
-    kinds = sc.initial.sem_model
-
-    def close(args, atts):
-        return set(args), {(s, t) for s, t in atts if s in args and t in args}
-
-    def adjusted(atts, facts):
-        return {
-            (t, s) if s not in facts and t in facts else (s, t) for s, t in atts
-        }
-
-    per_step = []
-    for event in sc.script:
-        p_args, p_atts = set(event.args), set(event.attacks)
-        glob_atts |= p_atts  # verdicts read the announced state
-        pub2_args, pub2_atts = close(pub_args | p_args, pub_atts | p_atts)
-        fa2 = {e: close(fa_args[e] | p_args, fa_atts[e] | p_atts) for e in agents}
-        deltas = {}
-        for v in agents:
-            for s in agents:
-                if v == s:
-                    continue
-                checked = p_args & scope_args[s]
-                if not checked:
-                    deltas[(v, s)] = 0
-                    continue
-                facts = factual[(v, s)]
-                va, vt = fa2[v]
-                shared_args = va & scope_args[s]
-                shared_atts = {p for p in vt & glob_atts if p[0] in shared_args and p[1] in shared_args}
-                om_args, om_atts = close(pub2_args | shared_args, pub2_atts | shared_atts)
-                kind = kinds[(v, s)]
-                src_sem = oracle_semantics(kind, ArgumentationFrame(frozenset(pub2_args), frozenset(adjusted(pub2_atts, facts))))
-                tgt_sem = oracle_semantics(kind, ArgumentationFrame(frozenset(om_args), frozenset(adjusted(om_atts, facts))))
-                src = {frozenset(x & checked) for x in src_sem}
-                tgt = {frozenset(x & checked) for x in tgt_sem}
-                if not src & tgt:
-                    deltas[(v, s)] = -sc.policy.delta_dishonest
-                elif src == tgt and checked <= facts:
-                    deltas[(v, s)] = sc.policy.delta_honest
-                else:
-                    deltas[(v, s)] = 0
-        per_step.append(deltas)
-        pub_args, pub_atts = pub2_args, pub2_atts
-        for e in agents:
-            fa_args[e], fa_atts[e] = fa2[e]
-    return per_step
-
-
 def test_criterion_7_trust_revision_against_independent_script(mafia, mafia_dprime):
     for sc in (mafia, mafia_dprime):
-        expected = _independent_trust_deltas(sc)
+        expected = independent_trust_deltas(sc)
         trace = run(sc)
         assert trace.error_step is None
         for step, deltas in zip(trace.steps, expected):
@@ -275,12 +210,12 @@ def test_criterion_7_trust_revision_against_independent_script(mafia, mafia_dpri
                     f"step {step.index} pair {pair}"
                 )
 
-    base = _independent_trust_deltas(mafia)
+    base = independent_trust_deltas(mafia)
     assert base[2][("e2", "e1")] == -1
     assert all(d == 0 for pair, d in base[2].items() if pair != ("e2", "e1"))
     assert all(d == 0 for deltas in (base[0], base[1], base[3]) for d in deltas.values())
 
-    dprime = _independent_trust_deltas(mafia_dprime)
+    dprime = independent_trust_deltas(mafia_dprime)
     assert dprime[2][("e2", "e1")] == 1
     assert all(d == 0 for pair, d in dprime[2].items() if pair != ("e2", "e1"))
     _report(7, "replayed trust deltas equal the oracle-backed pairwise-detection script's")

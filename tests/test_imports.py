@@ -1,7 +1,7 @@
 """The library imports nothing outside the standard library, its search has one entry, ``semantics``,
 the solver's module defines nothing else public, the preference module defines only ``adjust`` and
-``derive_inter``, a verdict is computed in one place, ``dynamics._step``, the scenario parser
-builds no violation but the trust cap's, and ``frames.py`` imports nothing of the package."""
+``derive_inter``, a verdict is computed in one place, ``dynamics.step``, no solve is cached, the
+scenario parser builds no violation but the trust cap's, and ``frames.py`` imports nothing of the package."""
 
 import ast
 import sys
@@ -101,7 +101,32 @@ def test_the_preference_module_defines_only_adjust_and_derive_inter():
 def test_a_verdict_is_computed_only_by_the_replay_step():
     # A second entry to `_verdict` (a one-pair `detect`, say) fails here.
     assert not naming_modules({"_verdict"}, SRC / "dynamics.py")
-    assert callers_of(SRC / "dynamics.py", {"_verdict"}) == {"_verdict": ["_step"]}
+    assert callers_of(SRC / "dynamics.py", {"_verdict"}) == {"_verdict": ["step"]}
+
+
+def _is_cache(node: ast.expr) -> bool:
+    """Whether an expression is ``cache`` or ``lru_cache``, bare, as a module attribute or called with options."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in {"cache", "lru_cache"}
+
+
+def cached(path: Path) -> list[str]:
+    """What one module wraps in ``functools.cache`` or ``lru_cache``: each decorated function's name and
+    each wrapped expression's source."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.FunctionDef):
+            found += [node.name for d in node.decorator_list if _is_cache(d)]
+        elif isinstance(node, ast.Call) and _is_cache(node.func) and node.args:
+            found.append(ast.unparse(node.args[0]))
+    return found
+
+
+def test_no_solve_is_cached():
+    # Every solve calls `semantics` as it is bound at that moment, so the oracle rebinding and the tracer
+    # see each one; the CLI's parser is the library's only cache.
+    assert [(p.name, name) for p in sorted(SRC.glob("*.py")) for name in cached(p)] == [("cli.py", "build_parser")]
 
 
 PARSE_HELPERS = {"load_scenario", "parse_scenario", "_as_frame", "_matrix"}
