@@ -8,12 +8,13 @@ all of them in order.  The outputs are, for every bundled fixture and for
 the 120 seed-0 games of the benchmark's synth-replay workload, the trace
 with and without semantics and the scenario dump; then, at each fixture's
 last step, the DOT export of every :data:`mmarg.state.VIEWS` entry for
-every tuple of its agents; last, both traces of five seeded 4-agent,
+every tuple of its agents; then both traces of five seeded 4-agent,
 12-argument games with every agent aware of the whole global frame, whose
-verdicts solve and detect deception (synth-replay's verdicts never solve).
-The checkout's own ``src/`` and ``bench/`` are
-put first on the import path, so running the script in two checkouts
-compares their code.
+verdicts solve and detect deception (synth-replay's verdicts never solve);
+last, both traces of each fixture with its last step repeated, which halt
+at the repeat with a "no repetition" error.  The checkout's own ``src/``
+and ``bench/`` are put first on the import path, so running the script in
+two checkouts compares their code.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import itertools
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +55,10 @@ def outputs():
         sc = load_scenario(dumps(doc))
         for ws in (False, True):
             yield dumps_trace(run(sc, with_semantics=ws))
+    for sc in fixtures:
+        halted = replace(sc, script=sc.script + sc.script[-1:])
+        for ws in (False, True):
+            yield dumps_trace(run(halted, with_semantics=ws))
 
 
 def main() -> int:

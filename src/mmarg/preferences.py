@@ -44,21 +44,18 @@ def derive_inter(m: "MmaState", e: str) -> frozenset[Attack]:
     of the strictly less trusted owner (every argument of a valid state has
     exactly one) then sits below the other's, and equally trusted owners leave
     the pair unordered.  Recomputed on demand: both the public record and the
-    trust matrix move under updates.  The argument -> owner map is built only
-    once some pair has passed the other filters.
+    trust matrix move under updates.
     """
     m.require_agents(e)
     factual = m.intra[(e, e)]
     pub = m.public_af.attacks
-    owner: dict[str, str] | None = None
+    owner = {a: agent for agent in m.agents for a in m.scope[agent]}
     strict = set()
     for a1, a2 in pub:
         if (a2, a1) not in pub:
             continue
         if a1 in factual or a2 in factual:
             continue
-        if owner is None:
-            owner = {a: agent for agent in m.agents for a in m.scope[agent]}
         if m.trust[(e, owner[a1])] < m.trust[(e, owner[a2])]:
             strict.add((a1, a2))
     return frozenset(strict)

@@ -75,11 +75,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """A replayed step, less what the announcement rules fix: public gains every payload attack, global no argument."""
+
     index: int
     event: AnnouncementEvent
     public_added_args: tuple[str, ...]
-    public_added_attacks: tuple[tuple[str, str], ...]
-    global_added_args: tuple[str, ...]
     global_added_attacks: tuple[tuple[str, str], ...]
     verdicts: Mapping[Pair, Verdict]
     trust_before: Mapping[Pair, int]
@@ -351,7 +351,7 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
     steps: list[TraceStep] = []
     for k, ev in enumerate(sc.script, 1):
         try:
-            m2, verdicts, m3 = step(m, ev, sc.policy)
+            _, verdicts, m3 = step(m, ev, sc.policy)
         except AnnouncementError as exc:
             return Trace(tuple(steps), m, error_step=k, error=tuple(str(v) for v in exc.violations))
         extras = None
@@ -361,10 +361,8 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
             TraceStep(
                 index=k,
                 event=ev,
-                public_added_args=tuple(sorted(m2.public_af.args - m.public_af.args)),
-                public_added_attacks=tuple(sorted(m2.public_af.attacks - m.public_af.attacks)),
-                global_added_args=tuple(sorted(m2.global_af.args - m.global_af.args)),
-                global_added_attacks=tuple(sorted(m2.global_af.attacks - m.global_af.attacks)),
+                public_added_args=tuple(sorted(ev.args - m.public_af.args)),
+                global_added_attacks=tuple(sorted(ev.attacks - m.global_af.attacks)),
                 verdicts=verdicts,
                 trust_before=m.trust,
                 trust_after=m3.trust,
@@ -454,13 +452,13 @@ class _TraceWriter:
         return template % tuple([conv(values[k]) for k in keys])
 
     def step(self, st: TraceStep, nl: str) -> str:
-        i = nl + "  "
+        i, attacks = nl + "  ", sorted(st.event.attacks)
         fields = [
             '"announcers": ' + self.strs(sorted(st.event.announcers), i),
-            '"global_added": ' + self.frame(st.global_added_args, st.global_added_attacks, i),
+            '"global_added": ' + self.frame((), st.global_added_attacks, i),
             f'"index": {st.index!r}',
-            '"payload": ' + self.frame(sorted(st.event.args), sorted(st.event.attacks), i),
-            '"public_added": ' + self.frame(st.public_added_args, st.public_added_attacks, i),
+            '"payload": ' + self.frame(sorted(st.event.args), attacks, i),
+            '"public_added": ' + self.frame(st.public_added_args, attacks, i),
         ]
         if st.trust_adjusted is not None:
             extras = [encode_basestring_ascii(e) + ": " + self.lists(sorted_extensions(g), i + "  ")

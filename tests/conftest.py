@@ -19,6 +19,14 @@ from mmarg import (
 )
 
 
+def f(args, attacks=()) -> ArgumentationFrame:
+    return ArgumentationFrame.of(args, attacks)
+
+
+def ext(*groups) -> frozenset[frozenset[str]]:
+    return frozenset(frozenset(g) for g in groups)
+
+
 def load_bundled(name: str) -> Scenario:
     with open(fixture_path(name), "rb") as fh:
         return load_scenario(fh)

@@ -4,7 +4,8 @@ It shares no detection, announcement, frame-combining or preference code
 with ``mmarg``: it reads the initial state and the script, then works on
 plain sets and ``oracle_semantics``.  ``wide_awareness_game`` builds seeded
 benchmark games in which every agent is aware of the whole global frame,
-so private awareness makes verdicts solve and detect deception.
+so private awareness makes verdicts solve and detect deception;
+``synth_replay_games`` builds the benchmark's seed-0 synth-replay games.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ def wide_awareness_game(seed: int) -> Scenario:
     every = {"args": [a["id"] for a in doc["arguments"]], "attacks": doc["global_attacks"]}
     doc["awareness"] = {e: every for e in doc["awareness"]}
     return load_scenario(bench_gen.dumps(doc))
+
+
+def synth_replay_games(count: int) -> list[Scenario]:
+    """The first ``count`` seed-0 games of the benchmark's synth-replay workload (its ``SYNTH_SHAPE``)."""
+    rng = bench_gen.rng_for("synth-replay", 0)
+    return [load_scenario(bench_gen.dumps(bench_gen.game_document(rng, 10, 10, 0.15, 15))) for _ in range(count)]
 
 
 def independent_trust_deltas(sc: Scenario) -> list[dict[tuple[str, str], int]]:

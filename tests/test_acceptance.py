@@ -16,12 +16,8 @@ from mmarg.scenario import fixture_path, query, run, state_at
 from mmarg.semantics import SemanticsKind, semantics
 from mmarg.state import adjusted_perceived, validate
 
-from conftest import random_announcement, random_state
+from conftest import ext, random_announcement, random_state
 from independent_replay import independent_trust_deltas
-
-
-def ext(*groups):
-    return frozenset(frozenset(g) for g in groups)
 
 
 def _report(n: int, text: str) -> None:

@@ -30,16 +30,12 @@ from mmarg.state import (
     validate,
 )
 
-from conftest import load_bundled, random_announcement, random_state
+from conftest import ext, load_bundled, random_announcement, random_state
 from independent_replay import independent_trust_deltas, wide_awareness_game
 
 
 def ev(args, attacks=(), announcers=("e1",)):
     return AnnouncementEvent.of(args, attacks, announcers)
-
-
-def ext(*groups):
-    return frozenset(frozenset(g) for g in groups)
 
 
 def test_event_requires_announcers():

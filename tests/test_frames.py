@@ -3,9 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mmarg.frames import AnnouncementEvent, ArgumentationFrame, combine, restrict
 
-
-def f(args, attacks=()):
-    return ArgumentationFrame.of(args, attacks)
+from conftest import f
 
 
 EMPTY = f([])

@@ -6,9 +6,7 @@ from mmarg.frames import ArgumentationFrame
 from mmarg.oracle import MAX_ORACLE_ARGS, oracle_semantics, random_frame
 from mmarg.semantics import SemanticsKind, semantics
 
-
-def ext(*groups):
-    return frozenset(frozenset(g) for g in groups)
+from conftest import ext
 
 
 def test_oracle_on_single_attack():

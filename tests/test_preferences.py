@@ -10,11 +10,7 @@ from mmarg.dynamics import update
 from mmarg.scenario import state_at
 from mmarg.state import trust_adjusted_public_model
 
-from conftest import random_announcement, random_state
-
-
-def f(args, attacks=()):
-    return ArgumentationFrame.of(args, attacks)
+from conftest import f, random_announcement, random_state
 
 
 def reversed_by_split(factual, args):

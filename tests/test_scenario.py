@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -8,7 +9,7 @@ from typing import Any
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mmarg.dynamics import AnnouncementEvent, TrustPolicy, Verdict
+from mmarg.dynamics import AnnouncementEvent, TrustPolicy, Verdict, announce
 from mmarg.frames import ArgumentationFrame
 from mmarg.scenario import (
     Scenario,
@@ -33,6 +34,7 @@ from mmarg.semantics import SemanticsKind, sorted_extensions
 from mmarg.state import MmaState, ViolationsError, validate
 
 from conftest import load_bundled
+from independent_replay import synth_replay_games, wide_awareness_game
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -146,7 +148,7 @@ def test_run_records_every_step(mafia):
     assert trace.error_step is None
     assert [s.index for s in trace.steps] == [1, 2, 3, 4]
     assert trace.steps[0].public_added_args == ("a9",)
-    assert trace.steps[3].public_added_attacks == (("a5", "a2"), ("a5", "a3"))
+    assert sorted(trace.steps[3].event.attacks) == [("a5", "a2"), ("a5", "a3")]
     assert trace.steps[2].verdicts[("e2", "e1")] is Verdict.DISHONEST
     assert trace.steps[2].trust_before[("e2", "e1")] == 0
     assert trace.steps[2].trust_after[("e2", "e1")] == -1
@@ -251,10 +253,10 @@ def reference_trace_doc(trace: Trace) -> dict:
             "payload": _frame_doc(step.event),
             "public_added": {
                 "args": list(step.public_added_args),
-                "attacks": [list(p) for p in step.public_added_attacks],
+                "attacks": [list(p) for p in sorted(step.event.attacks)],
             },
             "global_added": {
-                "args": list(step.global_added_args),
+                "args": [],
                 "attacks": [list(p) for p in step.global_added_attacks],
             },
             "verdicts": _pair_matrix_doc(step.verdicts, lambda v: v.value),
@@ -308,8 +310,6 @@ def traces(draw) -> Trace:
         index=st.integers(0, 10**6),
         event=events(agents),
         public_added_args=st.lists(IDS, max_size=3).map(tuple),
-        public_added_attacks=attacks,
-        global_added_args=st.lists(IDS, max_size=3).map(tuple),
         global_added_attacks=attacks,
         verdicts=st.dictionaries(pairs, st.sampled_from(Verdict), max_size=5),
         trust_before=st.dictionaries(pairs, TRUST, max_size=5),
@@ -323,7 +323,7 @@ def traces(draw) -> Trace:
 
 def _edge_trace(**step_fields) -> Trace:
     empty = ArgumentationFrame(frozenset(), frozenset())
-    step = TraceStep(1, AnnouncementEvent.of([], [], ["e"]), (), (), (), (), {}, {}, {}, **step_fields)
+    step = TraceStep(1, AnnouncementEvent.of([], [], ["e"]), (), (), {}, {}, {}, **step_fields)
     return Trace((step,), MmaState(empty, empty, {}, {}, {}, {}, {}))
 
 
@@ -333,7 +333,7 @@ def _matrix_trace(agents, *trusts, final=None) -> Trace:
     pairs = [(v, s) for v in agents for s in agents]
     verdicts = [{p: list(Verdict)[(i + k) % 3] for k, p in enumerate(pairs) if p[0] != p[1]} for i in range(len(trusts))]
     steps = tuple(
-        TraceStep(i + 1, AnnouncementEvent.of([], [], agents), (), (), (), (), verdicts[i], before, after)
+        TraceStep(i + 1, AnnouncementEvent.of([], [], agents), (), (), verdicts[i], before, after)
         for i, (before, after) in enumerate(zip((trusts[0],) + trusts, trusts))
     )
     final_trust = trusts[-1] if final is None else final
@@ -388,3 +388,61 @@ def test_consecutive_traces_are_written_independently(mafia, mafia_dprime):
     assert len(set(texts)) == len(texts)
     for trace, text in zip(traces, texts):
         assert text == reference_dumps_trace(trace)
+
+
+# ---------------------------------------------------------------------------
+# What a trace records, checked against states folded by hand.
+
+def _games(n_synth: int) -> list[Scenario]:
+    """The fixtures, the first ``n_synth`` seed-0 synth-replay games and five wide-awareness games."""
+    return [load_bundled(n) for n in bundled_scenarios()] + synth_replay_games(n_synth) + [wide_awareness_game(s) for s in range(5)]
+
+
+def _added(after: ArgumentationFrame, before: ArgumentationFrame) -> dict:
+    return {"args": sorted(after.args - before.args), "attacks": [list(p) for p in sorted(after.attacks - before.attacks)]}
+
+
+def test_added_frames_are_the_differences_announce_makes():
+    # The trace stores neither the attacks the public record gains nor the arguments the global frame
+    # gains: the announcement rules fix them.  Read both differences off ``announce``'s states instead.
+    steps = fabricating = 0
+    for sc in _games(20):
+        doc = json.loads(dumps_trace(run(sc)))
+        assert doc["error"] is None and len(doc["steps"]) == len(sc.script)
+        m = sc.initial
+        for ev, entry in zip(sc.script, doc["steps"]):
+            m2 = announce(m, ev)
+            assert entry["public_added"] == _added(m2.public_af, m.public_af)
+            assert entry["global_added"] == _added(m2.global_af, m.global_af)
+            assert entry["global_added"]["args"] == []
+            assert entry["public_added"]["attacks"] == entry["payload"]["attacks"]
+            steps += 1
+            fabricating += bool(entry["global_added"]["attacks"])
+            m = m2
+    assert steps == 375 and 0 < fabricating < steps
+
+
+def _shuffled(node: Any, rng: random.Random, key: str | None = None) -> Any:
+    """``node`` with every object's keys and every list reordered at random, but for the script's event
+    order and the order inside each ``[source, target]`` pair."""
+    if isinstance(node, dict):
+        items = list(node.items())
+        rng.shuffle(items)
+        return {k: _shuffled(v, rng, k) for k, v in items}
+    if not isinstance(node, list):
+        return node
+    items = list(node) if key in ("attacks", "global_attacks") else [_shuffled(x, rng) for x in node]
+    if key != "script":
+        rng.shuffle(items)
+    return items
+
+
+def test_permuting_a_scenario_document_keeps_its_traces():
+    rng = random.Random(0)
+    for sc in _games(3):
+        doc = json.loads(dumps_scenario(sc))
+        want = [dumps_trace(run(sc, with_semantics=ws)) for ws in (False, True)]
+        for _ in range(3):
+            again = load_scenario(json.dumps(_shuffled(doc, rng)))
+            assert again == sc
+            assert [dumps_trace(run(again, with_semantics=ws)) for ws in (False, True)] == want

@@ -8,13 +8,7 @@ from mmarg.frames import ArgumentationFrame
 from mmarg.oracle import _conflict_free, _defends, oracle_semantics, random_frame
 from mmarg.semantics import SemanticsKind, semantics, sorted_extensions
 
-
-def f(args, attacks=()):
-    return ArgumentationFrame.of(args, attacks)
-
-
-def ext(*groups):
-    return frozenset(frozenset(g) for g in groups)
+from conftest import ext, f
 
 
 SINGLE_ATTACK = f(["a1", "a2"], [("a1", "a2")])

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from mmarg.frames import ArgumentationFrame, combine, restrict
+from mmarg.frames import combine, restrict
 from mmarg.preferences import derive_inter
 from mmarg.export import export_graph, to_dot
 from mmarg.scenario import bundled_scenarios, query, state_at
@@ -21,11 +21,7 @@ from mmarg.state import (
     view,
 )
 
-from conftest import load_bundled, random_state
-
-
-def f(args, attacks=()):
-    return ArgumentationFrame.of(args, attacks)
+from conftest import f, load_bundled, random_state
 
 
 def conditions(violations):
