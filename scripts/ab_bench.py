@@ -12,8 +12,8 @@ quartiles of each side, the change/base ratio of the medians, the median
 and quartiles of the per-pair change/base ratios (machine drift within a
 session widens each side's quartiles but moves both runs of a pair), how
 many pairs the change won (ties count for neither side) and a verdict:
-``gain shown``, ``worse than bound`` or ``no change shown`` (see
-:func:`verdict`).  A last ``attempted`` line gives each side's median and
+``gain shown``, ``worse than bound``, ``unresolved`` or ``no change shown``
+(see :func:`verdict`).  A last ``attempted`` line gives each side's median and
 quartiles of attempted ops and their change/base ratio, so a move in
 ``peak_rss_mb`` can be read against the op count that drives it.  Exits 1
 when any run reports ``"correct": false``.
@@ -78,6 +78,7 @@ def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> 
         bv = [r["metrics"][name]["value"] for r in base]
         cv = [r["metrics"][name]["value"] for r in change]
         wins = sum(sign * (y - x) > 0 for x, y in zip(bv, cv))
+        beats_all = min(sign * y for y in cv) > max(sign * x for x in bv)
         bq, cq = quartiles(bv), quartiles(cv)
         bmed, cmed = bq[1], cq[1]
         ratio = f"{cmed / bmed:.3f}" if bmed else "n/a"
@@ -89,7 +90,7 @@ def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> 
             f"{name} ({m['unit']}, {m['better']} is better): base {spread(bq)}  "
             f"change {spread(cq)}  change/base {ratio}  pair ratios {pair_ratios}  "
             f"change wins {wins} of {len(bv)}  "
-            + verdict(sign, m["bound"], wins / len(bv), bq, cmed)
+            + verdict(sign, m["bound"], wins / len(bv), bq, cq, beats_all)
         )
     return lines
 
@@ -101,17 +102,24 @@ def attempted_line(base: list[dict], change: list[dict]) -> str:
     return f"attempted (ops per run, which peak_rss_mb grows with): base {spread(bq)}  change {spread(cq)}  change/base {ratio}"
 
 
-def verdict(sign: int, bound: float, win_share: float, base: tuple[float, float, float], change_median: float) -> str:
+def verdict(sign: int, bound: float, win_share: float, base: tuple[float, float, float],
+            change: tuple[float, float, float], beats_all: bool) -> str:
     """``gain shown`` when the change won at least 9 pairs in 10, and its median lies beyond the base's
     quartile range on the better side and is better than the base median by more than that range is
     wide; ``worse than bound`` when its median is worse than the base median by more than ``bound``
-    times the base median; else ``no change shown``.  ``sign`` is 1 when higher is better, else -1."""
+    times the base median; ``unresolved`` when either side's quartile range is wider than ``bound``
+    times its own median, unless every change run beat every base run (``beats_all``), since a spread
+    past the bound could hide a move past it; else ``no change shown``.  ``base`` and ``change`` are
+    (first quartile, median, third quartile); ``sign`` is 1 when higher is better, else -1."""
     bq1, bmed, bq3 = base
+    change_median = change[1]
     beyond = sign * change_median > sign * (bq3 if sign > 0 else bq1)
     if win_share >= 0.9 and beyond and sign * (change_median - bmed) > bq3 - bq1:
         return "gain shown"
     if sign * (bmed - change_median) > bound * abs(bmed):
         return "worse than bound"
+    if not beats_all and any(q3 - q1 > bound * abs(med) for q1, med, q3 in (base, change)):
+        return "unresolved"
     return "no change shown"
 
 

@@ -8,7 +8,10 @@ all of them in order.  The outputs are, for every bundled fixture and for
 the 120 seed-0 games of the benchmark's synth-replay workload, the trace
 with and without semantics and the scenario dump; then, at each fixture's
 last step, the DOT export of every :data:`mmarg.state.VIEWS` entry for
-every tuple of its agents; then both traces of five seeded 4-agent,
+every tuple of its agents; then, at every step of each fixture, the
+:func:`mmarg.query` extensions of every entry that takes one or two agents,
+for every tuple of its agents, under the scenario's kind and under each
+semantics kind; then both traces of five seeded 4-agent,
 12-argument games with every agent aware of the whole global frame, whose
 verdicts solve and detect deception (synth-replay's verdicts never solve);
 last, both traces of each fixture with its last step repeated, which halt
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 import sys
 from dataclasses import replace
@@ -29,7 +33,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from mmarg import VIEWS, bundled_scenarios, dumps_scenario, dumps_trace, export_graph, fixture_path, load_scenario, run, state_at  # noqa: E402
+from mmarg import (  # noqa: E402
+    VIEWS,
+    SemanticsKind,
+    bundled_scenarios,
+    dumps_scenario,
+    dumps_trace,
+    export_graph,
+    fixture_path,
+    load_scenario,
+    query,
+    run,
+    sorted_extensions,
+    state_at,
+)
 from gen import dumps, game_document  # noqa: E402
 from workloads import synth_generate  # noqa: E402
 
@@ -48,6 +65,12 @@ def outputs():
         for name, n in VIEWS:
             for agents in itertools.product(sorted(m.agents), repeat=n):
                 yield export_graph(m, ":".join((name, *agents)), sc.labels)
+    for sc in fixtures:
+        for k in range(len(sc.script) + 1):
+            m = state_at(sc, k)
+            for (name, n), kind in itertools.product([key for key in VIEWS if key[1]], [None, *SemanticsKind]):
+                for agents in itertools.product(sorted(m.agents), repeat=n):
+                    yield json.dumps(sorted_extensions(query(m, agents[0], agents[1] if n == 2 else None, name, kind)))
     for seed in range(5):
         doc = game_document(random.Random(seed), 4, 12, 0.15, 12)
         every = {"args": [a["id"] for a in doc["arguments"]], "attacks": doc["global_attacks"]}

@@ -53,6 +53,6 @@ from .scenario import (
     run,
     state_at,
 )
-from .export import export_graph, to_dot
+from .export import export_graph
 
 __version__ = "0.1.0"

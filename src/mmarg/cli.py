@@ -21,7 +21,6 @@ from .scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
-    Trace,
     _prefix,
     dumps_trace,
     fixture_path,
@@ -93,7 +92,7 @@ def cmd_run(ns) -> int:
             sc = replace(sc, policy=TrustPolicy(honest, dishonest))
         except ValueError as exc:
             raise ScenarioParseError(f"bad --policy value {ns.policy!r}: {exc} (expected H,D)") from exc
-    trace: Trace = run(sc, with_semantics=ns.with_semantics)
+    trace = run(sc, with_semantics=ns.with_semantics)
     _emit(dumps_trace(trace), ns.trace)
     if trace.error_step is not None:
         print(f"invalid announcement at step {trace.error_step}: {'; '.join(trace.error)}", file=sys.stderr)
@@ -104,7 +103,7 @@ def cmd_run(ns) -> int:
 def _state(sc: Scenario, at: int, view: str) -> MmaState:
     """The state after ``at`` script steps, replayed as far as ``view`` reads it.  Only ``trust-adjusted``
     reads trust, so every other view folds the announcements alone, from a state with no trust entries."""
-    if view.replace("_", "-") == "trust-adjusted":
+    if view == "trust-adjusted":
         return state_at(sc, at)
     return functools.reduce(announce, _prefix(sc, at), replace(sc.initial, trust={}))
 
@@ -174,9 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=int, default=0, help="state after this many script steps")
     p.add_argument("--viewer", required=True)
     p.add_argument("--subject")
-    # argparse applies ``type`` before it checks ``choices``, so ``trust_adjusted`` reads as ``trust-adjusted``.
-    p.add_argument("--view", required=True, type=lambda v: v.replace("_", "-"),
-                   choices=list(dict.fromkeys(name for name, n in VIEWS if n)))
+    p.add_argument("--view", required=True, choices=list(dict.fromkeys(name for name, n in VIEWS if n)))
     p.add_argument("--kind", dest="semantics", choices=[k.value for k in SemanticsKind],
                    help="override the scenario's semantics kind")
     p.set_defaults(func=cmd_query)

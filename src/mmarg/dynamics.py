@@ -168,6 +168,6 @@ def step(
     return m2, verdicts, replace(m2, trust=trust)
 
 
-def update(m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy = TrustPolicy()) -> MmaState:
+def update(m: MmaState, ev: AnnouncementEvent, policy: TrustPolicy) -> MmaState:
     """Announcement followed by trust revision: the revised state of :func:`step`."""
     return step(m, ev, policy)[2]

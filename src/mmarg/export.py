@@ -9,7 +9,6 @@ agents, separated by colons (``local:e2:e1``).
 
 from __future__ import annotations
 
-from .frames import ArgumentationFrame
 from .state import MmaState, view
 
 
@@ -17,10 +16,12 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(m: MmaState, frame: ArgumentationFrame, labels: dict[str, str] | None = None, title: str = "attacks") -> str:
-    """Render one frame of a state as a DOT digraph."""
+def export_graph(m: MmaState, selector: str, labels: dict[str, str] | None = None) -> str:
+    """Render the view ``selector`` names of a state as a DOT digraph titled by the selector."""
+    name, *agents = selector.split(":")
+    frame = view(m, name, *agents)
     labels = labels or {}
-    lines = [f"digraph {_quote(title)} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
+    lines = [f"digraph {_quote(selector)} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
     for e in sorted(m.agents):
         members = sorted(frame.args & m.scope[e])
         if not members:
@@ -36,8 +37,3 @@ def to_dot(m: MmaState, frame: ArgumentationFrame, labels: dict[str, str] | None
         lines.append(f"  {_quote(s)} -> {_quote(t)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_graph(m: MmaState, selector: str, labels: dict[str, str] | None = None) -> str:
-    name, *agents = selector.split(":")
-    return to_dot(m, view(m, name, *agents), labels, title=selector)

@@ -267,9 +267,8 @@ def parse_scenario(doc: Any) -> Scenario:
         raise ScenarioParseError("policy must be an object")
     if not policy_raw.keys() <= _POLICY_KEYS:
         raise ScenarioParseError(f"policy: unknown key {min(policy_raw.keys() - _POLICY_KEYS, key=repr)!r}")
-    deltas = [policy_raw.get(key, 1) for key in ("honest", "dishonest")]
     try:
-        policy = TrustPolicy(*deltas)
+        policy = TrustPolicy(**{"delta_" + key: value for key, value in policy_raw.items()})
     except ValueError as exc:
         raise ScenarioParseError(f"bad policy: {exc}") from exc
 
@@ -397,7 +396,7 @@ def query(m: MmaState, viewer: str, subject: str | None, view: str, kind: Semant
     takes no ``subject`` (``ValueError``), a two-agent view ``viewer``'s model of ``subject`` (default
     ``viewer``).  The kind defaults to what the first agent assumes the last one applies.
     """
-    if (view.replace("_", "-"), 1) in VIEWS:
+    if (view, 1) in VIEWS:
         if subject is not None:
             raise ValueError(f"view {view!r} reads one agent and takes no subject")
         agents = (viewer,)

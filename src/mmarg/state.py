@@ -226,11 +226,8 @@ VIEWS: dict[tuple[str, int], Callable[..., ArgumentationFrame]] = {
 
 
 def view(m: MmaState, name: str, *agents: str) -> ArgumentationFrame:
-    """The frame of the view ``name`` of :data:`VIEWS` for ``agents``.
-
-    ``trust_adjusted`` reads as ``trust-adjusted``; an unknown view or agent raises ``ValueError``.
-    """
-    fn = VIEWS.get((name.replace("_", "-"), len(agents)))
+    """The frame of the view ``name`` of :data:`VIEWS` for ``agents``; an unknown view or agent raises ``ValueError``."""
+    fn = VIEWS.get((name, len(agents)))
     if fn is None:
         raise ValueError(f"unknown view {name!r} for {len(agents)} agent(s)")
     return fn(m, *agents)

@@ -110,7 +110,8 @@ def test_pair_ratios_show_a_steady_win_that_drift_hides_from_the_verdict(tmp_pat
     line = summary(base, change, capsys, tmp_path)["ops_per_s"]
     assert "base 280 [190, 370]" in line and "change 350 [237.5, 462.5]" in line
     assert "pair ratios 1.250 [1.250, 1.250]" in line and "change wins 10 of 10" in line
-    assert line.endswith("  no change shown")
+    # The base's quartile range, 180, is wider than 0.25 of its median, so the verdict cannot tell.
+    assert line.endswith("  unresolved")
 
 
 def test_a_zero_base_value_has_no_pair_ratios():
@@ -138,12 +139,44 @@ def test_a_median_past_the_bound_reads_worse_than_bound(tmp_path, capsys):
     assert summary(base, [76, 77, 75, 78], capsys, tmp_path)["ops_per_s"].endswith("  no change shown")
 
 
+def lower_is_better(win_share, base, change, beats_all=False):
+    """The verdict on op_p50_ms, whose bound is 0.25; a bare number for ``change`` is a run-free median."""
+    change = change if isinstance(change, tuple) else (change,) * 3
+    return ab_bench.verdict(-1, 0.25, win_share, base, change, beats_all)
+
+
 def test_a_lower_is_better_metric_reads_its_gain_and_its_bound_downward():
-    metric = {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
-    assert ab_bench.verdict(-1, metric["bound"], 1.0, (9.0, 10.0, 11.0), 7.5) == "gain shown"
+    assert lower_is_better(1.0, (9.0, 10.0, 11.0), 7.5) == "gain shown"
     # Below the first quartile, but by less than the quartile range from the median.
-    assert ab_bench.verdict(-1, metric["bound"], 1.0, (9.0, 10.0, 11.0), 8.5) == "no change shown"
-    assert ab_bench.verdict(-1, metric["bound"], 0.8, (9.0, 10.0, 11.0), 7.5) == "no change shown"
-    assert ab_bench.verdict(-1, metric["bound"], 1.0, (9.0, 10.0, 11.0), 9.5) == "no change shown"
-    assert ab_bench.verdict(-1, metric["bound"], 0.0, (9.0, 10.0, 11.0), 12.6) == "worse than bound"
-    assert ab_bench.verdict(-1, metric["bound"], 0.0, (9.0, 10.0, 11.0), 12.4) == "no change shown"
+    assert lower_is_better(1.0, (9.0, 10.0, 11.0), 8.5) == "no change shown"
+    assert lower_is_better(0.8, (9.0, 10.0, 11.0), 7.5) == "no change shown"
+    assert lower_is_better(1.0, (9.0, 10.0, 11.0), 9.5) == "no change shown"
+    assert lower_is_better(0.0, (9.0, 10.0, 11.0), 12.6) == "worse than bound"
+    assert lower_is_better(0.0, (9.0, 10.0, 11.0), 12.4) == "no change shown"
+
+
+def test_a_spread_wider_than_the_bound_reads_unresolved():
+    # Either side's quartile range is 2.6, past 0.25 of its median of 10.
+    assert lower_is_better(0.5, (8.7, 10.0, 11.3), 10.0) == "unresolved"
+    assert lower_is_better(0.5, (9.0, 10.0, 11.0), (8.7, 10.0, 11.3)) == "unresolved"
+    # A range of 2.4 is within the bound.
+    assert lower_is_better(0.5, (8.8, 10.0, 11.2), (8.8, 10.0, 11.2)) == "no change shown"
+    # Unless every change run beat every base run.
+    assert lower_is_better(1.0, (8.7, 10.0, 11.3), 8.0, beats_all=True) == "no change shown"
+    assert lower_is_better(1.0, (8.7, 10.0, 11.3), 8.0) == "unresolved"
+
+
+def test_a_gain_or_a_move_past_the_bound_outranks_a_wide_spread():
+    assert lower_is_better(1.0, (9.0, 10.0, 11.0), (2.0, 5.0, 8.0)) == "gain shown"
+    assert lower_is_better(0.0, (5.0, 10.0, 15.0), 13.0) == "worse than bound"
+
+
+def test_every_change_run_beating_every_base_run_resolves_a_wide_spread(tmp_path, capsys):
+    # The base's quartile range, 100, is four times its bound and wider than the change's lead of 60.
+    base = [50, 150, 100, 50, 150, 50, 100, 150, 50, 150]
+    change = [160, 155, 165, 160, 158, 162, 160, 157, 163, 160]
+    line = summary(base, change, capsys, tmp_path)["ops_per_s"]
+    assert "base 100 [50, 150]" in line and "change 160 [158.5, 161.5]" in line
+    assert line.endswith("  no change shown")
+    # One change run below the base's best leaves the spread unresolved.
+    assert summary(base, change[:-1] + [149], capsys, tmp_path)["ops_per_s"].endswith("  unresolved")

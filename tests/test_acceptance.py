@@ -9,7 +9,7 @@ import random
 import time
 
 from mmarg.cli import EX_OK, main
-from mmarg.dynamics import AnnouncementEvent, Verdict, announce, check_announcement, restrict_extensions, step, update
+from mmarg.dynamics import AnnouncementEvent, TrustPolicy, Verdict, announce, check_announcement, restrict_extensions, step, update
 from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
 from mmarg.scenario import fixture_path, query, run, state_at
@@ -173,7 +173,7 @@ def test_criterion_6_theorem_suites(mafia, mafia_dprime, mafia_trusts_e1, mafia_
             continue
         m2 = announce(m, event)
         assert m2.scope[chosen] == m.scope[chosen]
-        m3 = update(m, event)
+        m3 = update(m, event, TrustPolicy())
         assert m3 != m
         frames_tested.append(m2.public_af)
         pairs += 1

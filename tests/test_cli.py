@@ -266,12 +266,15 @@ def test_query_trust_adjusted_variant(capsys):
     assert json.loads(capsys.readouterr().out) == [["a4", "a5"]]
 
 
-def test_query_reads_an_underscore_view_name_as_its_hyphenated_name(capsys):
-    argv = ["query", fixture_path("mafia_endgame_trusts_e2"), "--at", "4", "--viewer", "e3", "--view"]
-    assert main(argv + ["trust-adjusted"]) == EX_OK
-    hyphen = capsys.readouterr().out
-    assert main(argv + ["trust_adjusted"]) == EX_OK
-    assert capsys.readouterr().out == hyphen
+def test_trust_adjusted_with_an_underscore_is_not_a_view(capsys):
+    path = fixture_path("mafia_endgame_trusts_e2")
+    with pytest.raises(SystemExit) as exc:
+        main(["query", path, "--at", "4", "--viewer", "e3", "--view", "trust_adjusted"])
+    assert exc.value.code == EX_USAGE
+    assert "argument --view: invalid choice: 'trust_adjusted'" in capsys.readouterr().err
+    assert main(["export", path, "--at", "4", "--view", "trust_adjusted:e3"]) == EX_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unknown view 'trust_adjusted' for 1 agent(s)\n")
 
 
 def test_query_kind_override(capsys):

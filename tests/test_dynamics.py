@@ -167,7 +167,7 @@ def test_accepted_announcements_leave_valid_states():
             event = random_announcement(rng, m)
             if event is None:
                 break
-            m, m0 = update(m, event), m
+            m, m0 = update(m, event, TrustPolicy()), m
             assert validate(m) == []
             assert _grown_by_plain_union(m0, event, m)
             accepted += 1
@@ -240,7 +240,7 @@ def test_update_differs_on_random_valid_announcements():
         event = random_announcement(rng, m)
         if event is None:
             continue
-        m2 = update(m, event)
+        m2 = update(m, event, TrustPolicy())
         assert m2 != m and m2.public_af != m.public_af
         done += 1
 
@@ -486,7 +486,7 @@ def _replayed_cases(n_states=120):
                 break
             cases.append((m, event, TrustPolicy()))
             reached += done > 0
-            m = update(m, event)
+            m = update(m, event, TrustPolicy())
     return cases
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mmarg.frames import ArgumentationFrame
 from mmarg.preferences import adjust, derive_inter
-from mmarg.dynamics import update
+from mmarg.dynamics import TrustPolicy, update
 from mmarg.scenario import state_at
 from mmarg.state import trust_adjusted_public_model
 
@@ -185,7 +185,7 @@ def announced_states_with_random_trust(seed, count=150):
             event = random_announcement(rng, m)
             if event is None:
                 break
-            m = update(m, event)
+            m = update(m, event, TrustPolicy())
         yield replace(m, trust={pair: rng.randint(-2, 2) for pair in sorted(m.trust)})
 
 

@@ -78,6 +78,17 @@ def test_round_trip_is_semantically_identical(mafia):
     assert dumps_scenario(again) == dumps_scenario(mafia)
 
 
+@pytest.mark.parametrize("policy,deltas", [(None, (1, 1)), ({}, (1, 1)), ({"honest": 3}, (3, 1)), ({"dishonest": 0}, (1, 0))])
+def test_a_policy_delta_the_document_leaves_out_is_one(mafia, policy, deltas):
+    doc = base_doc(mafia)
+    del doc["policy"]
+    if policy is not None:
+        doc["policy"] = policy
+    sc = parse_scenario(doc)
+    assert (sc.policy.delta_honest, sc.policy.delta_dishonest) == deltas
+    assert json.loads(dumps_scenario(sc))["policy"] == dict(zip(("honest", "dishonest"), deltas))
+
+
 def test_invalid_json_is_a_parse_error():
     with pytest.raises(ScenarioParseError):
         load_scenario(b"{ not json")

@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from mmarg.frames import combine, restrict
 from mmarg.preferences import derive_inter
-from mmarg.export import export_graph, to_dot
+from mmarg.export import export_graph
 from mmarg.scenario import bundled_scenarios, query, state_at
 from mmarg.semantics import SemanticsKind, semantics, sorted_extensions
 from mmarg.state import (
@@ -268,13 +269,20 @@ def test_query_and_export_read_the_view_table(mafia, name, arity):
         subject = agents[1] if arity == 2 else None
         assert query(m, agents[0], subject, name) == semantics(m.sem_model[(agents[0], agents[-1])], frame)
         selector = ":".join((name, *agents))
-        assert export_graph(m, selector) == to_dot(m, frame, title=selector)
+        dot = export_graph(m, selector)
+        assert dot.startswith(f'digraph "{selector}" {{\n')
+        assert set(re.findall(r'^    "(\w+)" \[', dot, re.M)) == frame.args
+        assert set(re.findall(r'^  "(\w+)" -> "(\w+)";$', dot, re.M)) == frame.attacks
 
 
-def test_view_reads_trust_adjusted_with_an_underscore(mafia):
-    m = state_at(mafia, 3)
-    assert view(m, "trust_adjusted", "e2") == view(m, "trust-adjusted", "e2")
-    assert query(m, "e2", None, "trust_adjusted") == query(m, "e2", None, "trust-adjusted")
+@pytest.mark.parametrize("call", [
+    lambda m: view(m, "trust_adjusted", "e2"),
+    lambda m: query(m, "e2", None, "trust_adjusted"),
+    lambda m: export_graph(m, "trust_adjusted:e2"),
+], ids=["view", "query", "export_graph"])
+def test_trust_adjusted_with_an_underscore_is_an_unknown_view(mafia, call):
+    with pytest.raises(ValueError, match=r"^unknown view 'trust_adjusted' for [12] agent\(s\)$"):
+        call(state_at(mafia, 3))
 
 
 @pytest.mark.parametrize("name,agents", [
