@@ -11,13 +11,14 @@ last step, the DOT export of every :data:`mmarg.state.VIEWS` entry for
 every tuple of its agents; then, at every step of each fixture, the
 :func:`mmarg.query` extensions of every entry that takes one or two agents,
 for every tuple of its agents, under the scenario's kind and under each
-semantics kind; then both traces of five seeded 4-agent,
-12-argument games with every agent aware of the whole global frame, whose
-verdicts solve and detect deception (synth-replay's verdicts never solve);
-last, both traces of each fixture with its last step repeated, which halt
-at the repeat with a "no repetition" error.  The checkout's own ``src/``
-and ``bench/`` are put first on the import path, so running the script in
-two checkouts compares their code.
+semantics kind; then both traces of the five seeded 4-agent, 12-argument
+games of ``tests/independent_replay.wide_awareness_game``, in which every
+agent is aware of the whole global frame, so verdicts solve and detect
+deception (synth-replay's verdicts never solve); last, both traces of each
+fixture with its last step repeated, which halt at the repeat with a "no
+repetition" error.  The checkout's own ``src/``, ``bench/`` and ``tests/``
+are put first on the import path, so running the script in two checkouts
+compares their code.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import random
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from mmarg import (  # noqa: E402
     VIEWS,
@@ -47,7 +47,7 @@ from mmarg import (  # noqa: E402
     sorted_extensions,
     state_at,
 )
-from gen import dumps, game_document  # noqa: E402
+from independent_replay import wide_awareness_game  # noqa: E402
 from workloads import synth_generate  # noqa: E402
 
 
@@ -71,11 +71,7 @@ def outputs():
             for (name, n), kind in itertools.product([key for key in VIEWS if key[1]], [None, *SemanticsKind]):
                 for agents in itertools.product(sorted(m.agents), repeat=n):
                     yield json.dumps(sorted_extensions(query(m, agents[0], agents[1] if n == 2 else None, name, kind)))
-    for seed in range(5):
-        doc = game_document(random.Random(seed), 4, 12, 0.15, 12)
-        every = {"args": [a["id"] for a in doc["arguments"]], "attacks": doc["global_attacks"]}
-        doc["awareness"] = {e: every for e in doc["awareness"]}
-        sc = load_scenario(dumps(doc))
+    for sc in map(wide_awareness_game, range(5)):
         for ws in (False, True):
             yield dumps_trace(run(sc, with_semantics=ws))
     for sc in fixtures:

@@ -21,11 +21,11 @@ def main(argv: list[str]) -> int:
         print(f"  {sc.notes}")
     print(f"agents: {sorted(sc.initial.agents)}   policy: +{sc.policy.delta_honest}/-{sc.policy.delta_dishonest}")
     trace = run(sc, with_semantics=with_semantics)
-    for step in trace.steps:
+    for k, step in enumerate(trace.steps, 1):
         who = ",".join(sorted(step.event.announcers))
         args = " ".join(sorted(step.event.args))
         atts = " ".join(f"{s}->{t}" for s, t in sorted(step.event.attacks))
-        print(f"\nstep {step.index}: {who} announces [{args}] {atts}")
+        print(f"\nstep {k}: {who} announces [{args}] {atts}")
         flagged = {pair: v.value for pair, v in sorted(step.verdicts.items()) if v.value != "undetermined"}
         print(f"  verdicts: {flagged if flagged else 'all undetermined'}")
         moved = {

@@ -33,7 +33,6 @@ from .dynamics import (
     Verdict,
     announce,
     check_announcement,
-    restrict_extensions,
     step,
     update,
 )

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid announcement during a
-run, 3 parse error, a scenario file that cannot be read or an output file
-that cannot be written (64 for usage errors).
+run, 3 parse error, a scenario file that cannot be read or an output that
+cannot be written, a closed stdout included (64 for usage errors).
+Diagnostics go to stderr only, and are dropped when stderr is closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -62,6 +64,8 @@ def _load(path: str) -> Scenario:
 
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` to ``path``, or to stdout when no path is given; a failed write names where it went."""
+    if not path and sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     try:
         if path:
             with open(path, "w", encoding="utf-8") as fh:
@@ -196,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:  # fd 2 was closed when the interpreter started; print would fall back to stdout
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:

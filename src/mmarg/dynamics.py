@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 from .frames import AnnouncementEvent, combine
-from .semantics import ExtensionSet, semantics
+from .semantics import semantics
 from .preferences import adjust
 from .state import MmaState, Pair, Violation, ViolationsError, _is_int, perceived, public_model
 
@@ -107,12 +106,6 @@ def announce(m: MmaState, ev: AnnouncementEvent) -> MmaState:
     )
 
 
-def restrict_extensions(exts: ExtensionSet, keep: Iterable[str]) -> ExtensionSet:
-    """Cut every extension down to ``keep``; coinciding cuts collapse."""
-    keep = frozenset(keep)
-    return frozenset(ext & keep for ext in exts)
-
-
 def _verdict(m2: MmaState, viewer: str, subject: str, checked: frozenset[str]) -> Verdict:
     """Compare the trust-neutral public and local semantics on ``checked``.
 
@@ -127,8 +120,8 @@ def _verdict(m2: MmaState, viewer: str, subject: str, checked: frozenset[str]) -
     if local == m2.public_af:
         return Verdict.HONEST if checked <= factual else Verdict.UNDETERMINED
     kind = m2.sem_model[(viewer, subject)]
-    src = restrict_extensions(semantics(kind, public_model(m2, viewer, subject)), checked)
-    tgt = restrict_extensions(semantics(kind, adjust(local, factual)), checked)
+    src = {ext & checked for ext in semantics(kind, public_model(m2, viewer, subject))}
+    tgt = {ext & checked for ext in semantics(kind, adjust(local, factual))}
     if not src & tgt:
         return Verdict.DISHONEST
     if src == tgt and checked <= factual:

@@ -49,7 +49,7 @@ _POLICY_KEYS = frozenset({"honest", "dishonest"})
 
 class ScenarioParseError(ValueError):
     """Malformed document: bad JSON, a wrong type, a missing or unknown key, an empty or duplicate id, a bad attack
-    entry, a scope that misses an owned argument or lists an id twice, or an unknown agent name."""
+    entry, a scope that misses an owned argument or lists an id twice, or an agent name that is unknown or holds ':'."""
 
 
 class ScenarioValidationError(ViolationsError):
@@ -77,7 +77,6 @@ class Scenario:
 class TraceStep:
     """A replayed step, less what the announcement rules fix: public gains every payload attack, global no argument."""
 
-    index: int
     event: AnnouncementEvent
     public_added_args: tuple[str, ...]
     global_added_attacks: tuple[tuple[str, str], ...]
@@ -179,6 +178,8 @@ def parse_scenario(doc: Any) -> Scenario:
     if not (isinstance(scopes_raw, dict) and scopes_raw):
         raise ScenarioParseError("scopes must be a nonempty object")
     agents = sorted(scopes_raw)
+    if any(":" in e for e in agents):  # ':' separates the agents of a view selector such as aware:e1
+        raise ScenarioParseError(f"agent name {min((e for e in agents if ':' in e), key=repr)!r} contains ':'")
     scope: dict[str, frozenset[str]] = {}
     for e in agents:
         listed = scopes_raw[e]
@@ -358,7 +359,6 @@ def run(sc: Scenario, with_semantics: bool = False) -> Trace:
             extras = {e: semantics(m3.sem_model[(e, e)], trust_adjusted_public_model(m3, e)) for e in sorted(m3.agents)}
         steps.append(
             TraceStep(
-                index=k,
                 event=ev,
                 public_added_args=tuple(sorted(ev.args - m.public_af.args)),
                 global_added_attacks=tuple(sorted(ev.attacks - m.global_af.attacks)),
@@ -450,12 +450,12 @@ class _TraceWriter:
         template, keys = layout
         return template % tuple([conv(values[k]) for k in keys])
 
-    def step(self, st: TraceStep, nl: str) -> str:
+    def step(self, index: int, st: TraceStep, nl: str) -> str:
         i, attacks = nl + "  ", sorted(st.event.attacks)
         fields = [
             '"announcers": ' + self.strs(sorted(st.event.announcers), i),
             '"global_added": ' + self.frame((), st.global_added_attacks, i),
-            f'"index": {st.index!r}',
+            f'"index": {index!r}',
             '"payload": ' + self.frame(sorted(st.event.args), attacks, i),
             '"public_added": ' + self.frame(st.public_added_args, attacks, i),
         ]
@@ -471,12 +471,12 @@ class _TraceWriter:
 
 
 def dumps_trace(trace: Trace) -> str:
-    """The trace as JSON, written straight from its steps: ``error`` (null, or the halting
-    ``step`` and its ``violations``), the ``final`` frames and trust, and per step the announcers,
-    payload, added frames, ``verdicts``, trust matrices (viewer -> subject -> value) and, with
-    semantics, the ``trust_adjusted`` extensions.  The bytes are exactly those of
-    ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``.  Each matrix shape (indent and key
-    set) is laid out once per call and then only filled in with each matrix's values."""
+    """The trace as JSON, written straight from its steps: ``error`` (null, or the halting ``step``
+    and its ``violations``), the ``final`` frames and trust, and per step its ``index`` (its position
+    in ``trace.steps``, from 1), announcers, payload, added frames, ``verdicts``, trust matrices
+    (viewer -> subject -> value) and, with semantics, the ``trust_adjusted`` extensions.  The bytes
+    are exactly those of ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``.  Each matrix
+    shape (indent and key set) is laid out once per call and then only filled in with its values."""
     w, f, n1, n2 = _TraceWriter(), trace.final, "\n  ", "\n    "
     error = "null" if trace.error_step is None else _block(
         "{}", [f'"step": {trace.error_step!r}', '"violations": ' + w.strs(trace.error, n2)], n1)
@@ -485,5 +485,5 @@ def dumps_trace(trace: Trace) -> str:
         '"public": ' + w.frame(sorted(f.public_af.args), sorted(f.public_af.attacks), n2),
         '"trust": ' + w.matrix(f.trust, n2),
     ], n1)
-    steps = _block("[]", [w.step(st, n2) for st in trace.steps], n1)
+    steps = _block("[]", [w.step(k, st, n2) for k, st in enumerate(trace.steps, 1)], n1)
     return _block("{}", [f'"error": {error}', f'"final": {final}', f'"steps": {steps}'], "\n") + "\n"

@@ -9,7 +9,7 @@ import random
 import time
 
 from mmarg.cli import EX_OK, main
-from mmarg.dynamics import AnnouncementEvent, TrustPolicy, Verdict, announce, check_announcement, restrict_extensions, step, update
+from mmarg.dynamics import AnnouncementEvent, TrustPolicy, Verdict, announce, check_announcement, step, update
 from mmarg.frames import ArgumentationFrame, restrict
 from mmarg.oracle import oracle_semantics
 from mmarg.scenario import fixture_path, query, run, state_at
@@ -51,8 +51,8 @@ def test_criterion_2_detection_verdicts(mafia, mafia_dprime):
     assert verdicts[("e2", "e1")] is Verdict.DISHONEST
     checked = step3.args & m_d.scope["e1"]
     assert checked == {"a2", "a3"}
-    src = restrict_extensions(query(m_d, "e2", "e1", "public"), checked)
-    tgt = restrict_extensions(query(m_d, "e2", "e1", "local"), checked)
+    src = {ext & checked for ext in query(m_d, "e2", "e1", "public")}
+    tgt = {ext & checked for ext in query(m_d, "e2", "e1", "local")}
     assert src == ext({"a2", "a3"})
     assert tgt == ext(set())
 
@@ -200,11 +200,9 @@ def test_criterion_7_trust_revision_against_independent_script(mafia, mafia_dpri
         expected = independent_trust_deltas(sc)
         trace = run(sc)
         assert trace.error_step is None
-        for step, deltas in zip(trace.steps, expected):
+        for k, (step, deltas) in enumerate(zip(trace.steps, expected), 1):
             for pair, delta in deltas.items():
-                assert step.trust_after[pair] - step.trust_before[pair] == delta, (
-                    f"step {step.index} pair {pair}"
-                )
+                assert step.trust_after[pair] - step.trust_before[pair] == delta, f"step {k} pair {pair}"
 
     base = independent_trust_deltas(mafia)
     assert base[2][("e2", "e1")] == -1

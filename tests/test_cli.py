@@ -86,6 +86,7 @@ MALFORMED = {
     "empty declared argument id": lambda doc: doc["arguments"].append({"id": "", "owner": "e1"}),
     "null argument label": lambda doc: doc["arguments"][0].update(label=None),
     "integer notes": lambda doc: doc.update(notes=7),
+    "agent name holding a colon": lambda doc: doc["scopes"].update({"e:1": doc["scopes"].pop("e1")}),
 }
 # The whole stderr of the cases whose message is pinned.
 MALFORMED_STDERR = {
@@ -93,6 +94,7 @@ MALFORMED_STDERR = {
     "empty script argument id": "parse error: script step 2: argument ids must be nonempty strings, got ''\n",
     "empty declared argument id": "parse error: arguments: argument ids must be nonempty strings, got ''\n",
     "null argument label": "parse error: bad argument declaration {'id': 'a1', 'label': None, 'owner': 'e1'}\n",
+    "agent name holding a colon": "parse error: agent name 'e:1' contains ':'\n",
     "integer notes": "parse error: notes must be a string\n",
 }
 
@@ -170,6 +172,33 @@ def test_a_buffered_stdout_on_a_full_device_is_exit_3_with_one_line():
         done = subprocess.run([sys.executable, "-m", "mmarg.cli", "validate", "mafia_endgame"], env=env,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (EX_PARSE, "cannot write <stdout>: No space left on device\n")
+
+
+def _with_closed(fd: int, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m mmarg.cli ARGV`` started with file descriptor ``fd`` closed; both streams are piped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mmarg.cli", *argv], env=env, capture_output=True, text=True,
+                          preexec_fn=lambda: os.close(fd), timeout=60)
+
+
+def test_a_closed_stdout_is_exit_3_with_one_line():
+    done = _with_closed(1, "validate", "mafia_endgame")
+    assert (done.returncode, done.stderr) == (EX_PARSE, "cannot write <stdout>: Bad file descriptor\n")
+
+
+def test_a_closed_stderr_drops_diagnostics_and_keeps_the_exit_code():
+    # Without a stderr, print would fall back to stdout and mix diagnostics into the command's output.
+    done = _with_closed(2, "query", "mafia_endgame", "--viewer", "zz", "--view", "aware")
+    assert (done.returncode, done.stdout) == (EX_VALIDATION, "")
+    assert _with_closed(2, "validate", "mafia_endgame").stdout == "mafia_endgame: valid\n"
+
+
+@pytest.mark.parametrize("fd", [1, 2])
+def test_a_usage_error_with_a_closed_stream_is_exit_64(fd):
+    done = _with_closed(fd, "validate")
+    assert done.returncode == EX_USAGE
+    assert (done.stdout, done.stderr.startswith("usage: mmarg validate")) == ("", fd == 1)
 
 
 def test_a_frame_too_deep_to_solve_is_an_error_not_a_traceback(tmp_path, capsys):

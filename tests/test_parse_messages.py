@@ -71,6 +71,7 @@ VARIANTS: dict[str, Any] = {
     "argument declaration unknown key": (["arguments", 0, "lable"], "x"),
     "scopes empty": (["scopes"], {}),
     "scopes not an object": (["scopes"], ["e1"]),
+    "agent name holds a colon": (["scopes", "e:1"], []),
     "argument owned by an unknown agent": (["arguments", 0, "owner"], "e9"),
     "scope not a list of ids": (["scopes", "e1"], ["a1", 2]),
     "overlapping scopes": (["scopes", "e2"], ["a1", "a4", "a5", "a6"]),

@@ -108,6 +108,19 @@ def test_unknown_semantics_kind_is_a_parse_error(mafia):
         parse_scenario(doc)
 
 
+def test_an_agent_name_may_not_contain_a_colon(mafia):
+    # ':' separates the agents of a view selector such as aware:e1, so no view of such an agent could be named.
+    assert load_scenario(json.dumps(_renamed_doc(base_doc(mafia), {"e1": "e;1"}))).initial.agents == {"e;1", "e2", "e3"}
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(_renamed_doc(base_doc(mafia), {"e1": "e:1"}))
+    assert str(exc.value) == "agent name 'e:1' contains ':'"
+    doc = base_doc(mafia)
+    doc["scopes"].update({"b:2": [], "z':1": []})
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(doc)
+    assert str(exc.value) == "agent name \"z':1\" contains ':'"  # the least offender by repr
+
+
 def test_scope_owner_mismatch_is_a_parse_error(mafia):
     doc = base_doc(mafia)
     doc["scopes"]["e1"] = ["a1", "a2"]
@@ -157,7 +170,7 @@ def test_factual_outside_awareness_fails_validation(mafia):
 def test_run_records_every_step(mafia):
     trace = run(mafia)
     assert trace.error_step is None
-    assert [s.index for s in trace.steps] == [1, 2, 3, 4]
+    assert [s.event for s in trace.steps] == list(mafia.script)  # one step per event, numbered by position
     assert trace.steps[0].public_added_args == ("a9",)
     assert sorted(trace.steps[3].event.attacks) == [("a5", "a2"), ("a5", "a3")]
     assert trace.steps[2].verdicts[("e2", "e1")] is Verdict.DISHONEST
@@ -257,9 +270,9 @@ def reference_trace_doc(trace: Trace) -> dict:
     }
     if trace.error_step is not None:
         doc["error"] = {"step": trace.error_step, "violations": list(trace.error)}
-    for step in trace.steps:
+    for k, step in enumerate(trace.steps, 1):
         entry = {
-            "index": step.index,
+            "index": k,
             "announcers": sorted(step.event.announcers),
             "payload": _frame_doc(step.event),
             "public_added": {
@@ -318,7 +331,6 @@ def traces(draw) -> Trace:
     extensions = st.frozensets(st.frozensets(IDS, max_size=3), max_size=3)
     steps = st.builds(
         TraceStep,
-        index=st.integers(0, 10**6),
         event=events(agents),
         public_added_args=st.lists(IDS, max_size=3).map(tuple),
         global_added_attacks=attacks,
@@ -334,7 +346,7 @@ def traces(draw) -> Trace:
 
 def _edge_trace(**step_fields) -> Trace:
     empty = ArgumentationFrame(frozenset(), frozenset())
-    step = TraceStep(1, AnnouncementEvent.of([], [], ["e"]), (), (), {}, {}, {}, **step_fields)
+    step = TraceStep(AnnouncementEvent.of([], [], ["e"]), (), (), {}, {}, {}, **step_fields)
     return Trace((step,), MmaState(empty, empty, {}, {}, {}, {}, {}))
 
 
@@ -344,7 +356,7 @@ def _matrix_trace(agents, *trusts, final=None) -> Trace:
     pairs = [(v, s) for v in agents for s in agents]
     verdicts = [{p: list(Verdict)[(i + k) % 3] for k, p in enumerate(pairs) if p[0] != p[1]} for i in range(len(trusts))]
     steps = tuple(
-        TraceStep(i + 1, AnnouncementEvent.of([], [], agents), (), (), verdicts[i], before, after)
+        TraceStep(AnnouncementEvent.of([], [], agents), (), (), verdicts[i], before, after)
         for i, (before, after) in enumerate(zip((trusts[0],) + trusts, trusts))
     )
     final_trust = trusts[-1] if final is None else final
@@ -457,3 +469,86 @@ def test_permuting_a_scenario_document_keeps_its_traces():
             again = load_scenario(json.dumps(_shuffled(doc, rng)))
             assert again == sc
             assert [dumps_trace(run(again, with_semantics=ws)) for ws in (False, True)] == want
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: a transformed scenario's trace is the original's, transformed.
+
+def _renamed_doc(node: Any, name: dict[str, str]) -> Any:
+    """A scenario document with every string and object key that ``name`` maps replaced by its image."""
+    if isinstance(node, dict):
+        return {name.get(k, k): _renamed_doc(v, name) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_renamed_doc(x, name) for x in node]
+    return name.get(node, node) if isinstance(node, str) else node
+
+
+def _renamed_trace(trace: Trace, name: dict[str, str]) -> Trace:
+    """``trace`` with every agent and argument renamed by ``name``; its error text is kept as it is."""
+    def ids(xs):
+        return frozenset(name[x] for x in xs)
+
+    def attacks(pairs):
+        return frozenset((name[s], name[t]) for s, t in pairs)
+
+    def frame(f):
+        return ArgumentationFrame(ids(f.args), attacks(f.attacks))
+
+    def matrix(values):
+        return {(name[v], name[s]): x for (v, s), x in values.items()}
+
+    steps = tuple(
+        TraceStep(
+            AnnouncementEvent(ids(st.event.args), attacks(st.event.attacks), ids(st.event.announcers)),
+            tuple(sorted(ids(st.public_added_args))),
+            tuple(sorted(attacks(st.global_added_attacks))),
+            matrix(st.verdicts),
+            matrix(st.trust_before),
+            matrix(st.trust_after),
+            None if st.trust_adjusted is None else {name[e]: frozenset(map(ids, g)) for e, g in st.trust_adjusted.items()},
+        )
+        for st in trace.steps
+    )
+    m = trace.final
+    final = MmaState(
+        frame(m.global_af),
+        frame(m.public_af),
+        {name[e]: ids(s) for e, s in m.scope.items()},
+        {name[e]: frame(f) for e, f in m.aware.items()},
+        matrix(m.sem_model),
+        {pair: ids(s) for pair, s in matrix(m.intra).items()},
+        matrix(m.trust),
+        {pair: frame(f) for pair, f in matrix(m.overrides).items()},
+    )
+    return Trace(steps, final, trace.error_step, trace.error)
+
+
+def test_renaming_every_agent_and_argument_renames_the_trace():
+    rng = random.Random(0)
+    for sc in _games(10):
+        names = sorted(sc.initial.agents | sc.initial.global_af.args)
+        images = [f"n{i:03d}" for i in range(len(names))]
+        rng.shuffle(images)  # so the renaming also reorders the names
+        name = dict(zip(names, images))
+        back = {image: old for old, image in name.items()}
+        renamed = load_scenario(json.dumps(_renamed_doc(json.loads(dumps_scenario(sc)), name)))
+        for ws in (False, True):
+            assert _renamed_trace(run(renamed, with_semantics=ws), back) == run(sc, with_semantics=ws)
+
+
+def _scaled_trust(values: dict, k: int) -> dict:
+    return {pair: k * x for pair, x in values.items()}
+
+
+def test_scaling_trust_and_both_policy_deltas_scales_every_trust_value_and_keeps_the_rest():
+    # Trust acts only through comparisons, so every verdict and trust-adjusted extension set stays.
+    for sc in _games(10):
+        p = sc.policy
+        scaled = replace(sc, initial=replace(sc.initial, trust=_scaled_trust(sc.initial.trust, 3)),
+                         policy=TrustPolicy(3 * p.delta_honest, 3 * p.delta_dishonest))
+        for ws in (False, True):
+            trace = run(sc, with_semantics=ws)
+            steps = tuple(replace(st, trust_before=_scaled_trust(st.trust_before, 3),
+                                  trust_after=_scaled_trust(st.trust_after, 3)) for st in trace.steps)
+            final = replace(trace.final, trust=_scaled_trust(trace.final.trust, 3))
+            assert run(scaled, with_semantics=ws) == replace(trace, steps=steps, final=final)
