@@ -14,9 +14,10 @@ session widens each side's quartiles but moves both runs of a pair), how
 many pairs the change won (ties count for neither side) and a verdict:
 ``gain shown``, ``worse than bound``, ``unresolved`` or ``no change shown``
 (see :func:`verdict`).  A last ``attempted`` line gives each side's median and
-quartiles of attempted ops and their change/base ratio, so a move in
-``peak_rss_mb`` can be read against the op count that drives it.  Exits 1
-when any run reports ``"correct": false``.
+quartiles of attempted ops, their change/base ratio and the median over
+pairs of the extra ``peak_rss_mb`` per extra attempted op in bytes, so a
+move in ``peak_rss_mb`` can be read against the op count that drives it.
+Exits 1 when any run reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -96,10 +97,16 @@ def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> 
 
 
 def attempted_line(base: list[dict], change: list[dict]) -> str:
-    """Each side's median and quartiles of attempted ops per run, and the change/base ratio of medians."""
+    """Each side's median and quartiles of attempted ops per run, the change/base ratio of medians, and
+    the median over pairs of the change's extra ``peak_rss_mb`` per extra attempted op, in bytes
+    (``n/a`` when every pair's op counts tie)."""
     bq, cq = (quartiles([r["attempted"] for r in side]) for side in (base, change))
     ratio = f"{cq[1] / bq[1]:.3f}" if bq[1] else "n/a"
-    return f"attempted (ops per run, which peak_rss_mb grows with): base {spread(bq)}  change {spread(cq)}  change/base {ratio}"
+    per_op = [(c["metrics"]["peak_rss_mb"]["value"] - b["metrics"]["peak_rss_mb"]["value"]) * 2**20
+              / (c["attempted"] - b["attempted"]) for b, c in zip(base, change) if c["attempted"] != b["attempted"]]
+    rss = f"{statistics.median(per_op):.0f} B" if per_op else "n/a"
+    return (f"attempted (ops per run, which peak_rss_mb grows with): base {spread(bq)}  change {spread(cq)}  "
+            f"change/base {ratio}  peak_rss_mb per extra op {rss}")
 
 
 def verdict(sign: int, bound: float, win_share: float, base: tuple[float, float, float],

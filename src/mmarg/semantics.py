@@ -8,8 +8,9 @@ grounded set is accepted, everything it attacks is rejected, and only the
 arguments left undecided are searched, the most-attacking first.  Each
 label's obligation is checked when the argument is labelled and again when
 its last possible supporting attacker is, so every leaf is a complete
-labelling.  Preferred extensions are the maximal complete ones.  All results
-are exact sets of extensions, never approximations.
+labelling.  Preferred extensions, the maximal admissible sets, have their
+own IN/not-IN search (Nofal, Atkinson and Dunne, AIJ 207, 2014), independent
+of that one.  All results are exact sets of extensions, never approximations.
 
 The brute-force subset filter in :mod:`mmarg.oracle` re-derives the same
 semantics straight from the definitions and deliberately shares none of
@@ -100,6 +101,40 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
     return results
 
 
+def _preferred_masks(n: int, attackers: list[int], targets: list[int]) -> list[int]:
+    """The maximal admissible sets, which are the preferred extensions, as bitmasks: a search in
+    ``_complete_masks``' order from the grounded set, IN before not-IN.  A node is pruned when an attacker
+    of IN is attacked neither by IN nor by an argument still allowed IN (unassigned, not self-attacking, in
+    no conflict with IN), or when IN and the allowed arguments fit in a set already found; so a superset
+    is found before its subsets, and every leaf is maximal."""
+    g = _grounded_mask(n, attackers, targets)
+    hit = _attacked_by(g, targets)
+    free = sorted((i for i in range(n) if not (g | hit) >> i & 1),
+                  key=lambda i: (-targets[i].bit_count(), attackers[i].bit_count()))
+    results: list[int] = []
+
+    def search(k: int, in_m: int, hit: int, threat: int, allowed: int) -> None:
+        if any(in_m | allowed | found == found for found in results):
+            return
+        if threat & ~hit & ~_attacked_by(allowed, targets):
+            return
+        while k < len(free) and not allowed >> free[k] & 1:
+            k += 1
+        if k == len(free):
+            results.append(in_m)
+            return
+        i = free[k]
+        search(k + 1, in_m | 1 << i, hit | targets[i], threat | attackers[i], allowed & ~(1 << i | targets[i] | attackers[i]))
+        search(k + 1, in_m, hit, threat, allowed ^ 1 << i)
+
+    try:
+        search(0, g, hit, _attacked_by(g, attackers), sum(1 << i for i in free if not attackers[i] >> i & 1))
+    except RecursionError:
+        msg = f"frame too deep to solve: {len(free)} undecided arguments exceed the recursion limit"
+        raise ValueError(msg) from None
+    return results
+
+
 def _grounded_mask(n: int, attackers: list[int], targets: list[int]) -> int:
     """Least fixpoint of the defense operator, iterated up from nothing."""
     in_m = 0
@@ -125,7 +160,7 @@ def _attacked_by(in_m: int, targets: list[int]) -> int:
 
 
 def semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
-    """The complete, preferred (maximal complete) or grounded extensions of ``f``, the grounded one
+    """The complete, preferred (maximal admissible) or grounded extensions of ``f``, the grounded one
     wrapped as a one-member set.  This is the only way into the search."""
     kind = SemanticsKind(kind)
     order = sorted(f.args)
@@ -137,10 +172,10 @@ def semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
         targets[pos[s]] |= 1 << pos[t]
     if kind is SemanticsKind.GROUNDED:
         masks = [_grounded_mask(len(order), attackers, targets)]
+    elif kind is SemanticsKind.PREFERRED:
+        masks = _preferred_masks(len(order), attackers, targets)
     else:
         masks = _complete_masks(len(order), attackers, targets)
-    if kind is SemanticsKind.PREFERRED:
-        masks = [m for m in masks if not any(m != m2 and m | m2 == m2 for m2 in masks)]
     return frozenset(frozenset(order[i] for i in range(len(order)) if m >> i & 1) for m in masks)
 
 

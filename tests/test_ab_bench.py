@@ -62,6 +62,22 @@ def test_pairs_alternate_and_the_summary_reads_medians_quartiles_ratio_and_wins(
     assert "base 1010 [990, 1025]  change 1420 [1285, 1455]  change/base 1.406" in attempted
 
 
+def run_result(ops_per_s, peak_rss_mb):
+    result = json.loads(canned(ops_per_s).splitlines()[-1])
+    result["metrics"]["peak_rss_mb"]["value"] = peak_rss_mb
+    return result
+
+
+def test_the_attempted_line_reads_the_extra_peak_rss_per_extra_op_in_bytes():
+    # Attempted ops are 20 per op/s: pairs of 200 and 100 extra ops grow by 0.25 and 0.5 MB, and a tie is skipped.
+    base = [run_result(50, 40.0), run_result(50, 40.0), run_result(50, 40.0)]
+    change = [run_result(60, 40.25), run_result(55, 40.5), run_result(50, 45.0)]
+    line = ab_bench.attempted_line(base, change)
+    # The median of 0.25 MiB / 200 = 1310.72 B and 0.5 MiB / 100 = 5242.88 B.
+    assert line.endswith("  peak_rss_mb per extra op 3277 B")
+    assert ab_bench.attempted_line(base, base[::-1]).endswith("  peak_rss_mb per extra op n/a")
+
+
 def test_lower_is_better_metrics_count_a_drop_as_a_win():
     metrics = [{"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
     base = [json.loads(canned(1).splitlines()[-1]) for _ in range(2)]

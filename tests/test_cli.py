@@ -1,8 +1,10 @@
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from mmarg import cli
 from mmarg.cli import EX_ANNOUNCEMENT, EX_OK, EX_PARSE, EX_USAGE, EX_VALIDATION, main
 from mmarg.frames import ArgumentationFrame
-from mmarg.oracle import oracle_semantics
+from mmarg.oracle import oracle_semantics, random_frame
 from mmarg.scenario import ScenarioParseError, dumps_scenario, fixture_path, parse_scenario, state_at
 from mmarg.semantics import SemanticsKind, sorted_extensions
 
@@ -219,6 +221,31 @@ def test_a_frame_too_deep_to_solve_is_an_error_not_a_traceback(tmp_path, capsys)
     assert main(["query", write_doc(tmp_path, doc), "--viewer", "e1", "--view", "aware"]) == EX_VALIDATION
     err = capsys.readouterr().err
     assert err == "error: frame too deep to solve: 3000 undecided arguments exceed the recursion limit\n"
+
+
+def test_a_preferred_query_on_the_seeded_36_argument_frame_answers_within_2_cpu_seconds(tmp_path, capsys):
+    # Enumerating every complete labelling of this frame first took about 97 s.
+    f = random_frame(random.Random(36 * 100 + 30), 36, 0.3)
+    ids = sorted(f.args)
+    attacks = sorted(map(list, f.attacks))
+    doc = {
+        "arguments": [{"id": a, "owner": "e1"} for a in ids],
+        "global_attacks": attacks,
+        "scopes": {"e1": ids},
+        "awareness": {"e1": {"args": ids, "attacks": attacks}},
+        "gsem": {"e1": {"e1": "preferred"}},
+        "factual": {"e1": {"e1": []}},
+        "trust": {"e1": {"e1": 0}},
+        "script": [],
+    }
+    path = write_doc(tmp_path, doc)
+    start = time.process_time()
+    assert main(["query", path, "--viewer", "e1", "--view", "aware"]) == EX_OK
+    assert time.process_time() - start < 2.0
+    exts = [set(ext) for ext in json.loads(capsys.readouterr().out)]
+    assert len(exts) == 5
+    assert not any(a in ext and b in ext for ext in exts for a, b in f.attacks)
+    assert not any(ext < other for ext in exts for other in exts)
 
 
 def test_run_writes_trace(tmp_path, capsys):

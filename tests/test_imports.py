@@ -33,7 +33,7 @@ def test_library_modules_import_only_the_standard_library():
     assert not outside
 
 
-SEARCH = {"_complete_masks", "_grounded_mask"}
+SEARCH = {"_complete_masks", "_preferred_masks", "_grounded_mask"}
 REPO = SRC.parents[1]
 
 
@@ -71,7 +71,8 @@ def test_the_search_is_entered_only_through_semantics():
     assert not naming_modules(SEARCH, SRC / "semantics.py")
     callers = callers_of(SRC / "semantics.py", SEARCH)
     assert set(callers["_complete_masks"]) == {"semantics"}
-    assert set(callers["_grounded_mask"]) == {"semantics", "_complete_masks"}
+    assert set(callers["_preferred_masks"]) == {"semantics"}
+    assert set(callers["_grounded_mask"]) == {"semantics", "_complete_masks", "_preferred_masks"}
 
 
 def defined_names(path: Path) -> set[str]:

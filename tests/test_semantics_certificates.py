@@ -5,10 +5,13 @@ its members and contains every argument it defends; a preferred extension is
 a maximal complete one; the grounded extension is the least complete one,
 the intersection of them all.  Each of these is checked in polynomial time
 on frames of 14-25 arguments, too large to enumerate subsets of cheaply, and
-on the seeded 30- and 40-argument frames of :func:`mmarg.random_frame`.
+on the seeded 30- and 40-argument frames of :func:`mmarg.random_frame`;
+preferred alone also on its seeded 33- and 36-argument frames.
 Exact references for 20 arguments come from disjoint unions of two
 oracle-checked halves, whose extensions are exactly the unions of one
-extension of each half.  Renaming the arguments must rename the extensions.
+extension of each half; eight disjoint mutual attacks have exactly the
+256 preferred extensions that take one argument of each.  Renaming the
+arguments must rename the extensions.
 All three kinds are directional (Baroni and Giacomin, AIJ 171, 2007): on a
 set that no attack from outside enters, the extensions cut to the set are
 exactly the extensions of the frame restricted to it.
@@ -19,6 +22,7 @@ Only :func:`mmarg.semantics` and :func:`mmarg.oracle_semantics` are called;
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -87,13 +91,34 @@ def test_extensions_carry_their_certificates(seed, n, density, mutual):
 @pytest.mark.parametrize("n, density", [(30, 0.3), (40, 0.1)])
 def test_seeded_frames_past_25_arguments_carry_their_certificates_under_any_names(n, density):
     f = seeded_frame(random.Random(n * 100 + int(density * 100)), n, density)
-    complete, _, grounded = assert_certified(f)
+    exts = assert_certified(f)
     # Sorted mixed ids put the arguments in another index order, so the search breaks its ties differently.
-    # Preferred is the same search's maximal sets, so complete and grounded cover the renaming.
     name = dict(zip(sorted(f.args), mixed_ids(random.Random(n), n)))
     renamed = ArgumentationFrame.of(name.values(), [(name[a], name[b]) for a, b in f.attacks])
-    for kind, found in ((SemanticsKind.COMPLETE, complete), (SemanticsKind.GROUNDED, grounded)):
+    for kind, found in zip(SemanticsKind, exts):
         assert semantics(kind, renamed) == frozenset(frozenset(name[a] for a in e) for e in found)
+
+
+@pytest.mark.parametrize("n", [33, 36])
+def test_preferred_on_the_seeded_33_and_36_argument_frames_takes_under_a_cpu_second(n):
+    # Complete alone takes minutes at n=36, so each preferred extension is checked on its own:
+    # complete, containing the grounded one, and inside no other.
+    f = seeded_frame(random.Random(n * 100 + 30), n, 0.3)
+    start = time.process_time()
+    preferred = semantics(SemanticsKind.PREFERRED, f)
+    assert time.process_time() - start < 1.0
+    (g,) = semantics(SemanticsKind.GROUNDED, f)
+    for ext in preferred:
+        assert_complete(ext, f)
+        assert g <= ext
+        assert not any(ext < other for other in preferred)
+
+
+def test_eight_disjoint_mutual_pairs_have_256_preferred_extensions():
+    ids = mixed_ids(random.Random(16), 16)
+    pairs = list(zip(ids[::2], ids[1::2]))
+    f = ArgumentationFrame.of(ids, [(a, b) for p in pairs for a, b in (p, p[::-1])])
+    assert semantics(SemanticsKind.PREFERRED, f) == {frozenset(pick) for pick in itertools.product(*pairs)}
 
 
 @pytest.mark.parametrize("seed", range(4))
