@@ -16,7 +16,9 @@ many pairs the change won (ties count for neither side) and a verdict:
 (see :func:`verdict`).  A last ``attempted`` line gives each side's median and
 quartiles of attempted ops, their change/base ratio and the median over
 pairs of the extra ``peak_rss_mb`` per extra attempted op in bytes, so a
-move in ``peak_rss_mb`` can be read against the op count that drives it.
+move in ``peak_rss_mb`` can be read against the op count that drives it;
+only pairs whose op counts differ by at least 5% of the base run's count
+enter it, since a steady offset divided by a few extra ops reads as noise.
 Exits 1 when any run reports ``"correct": false``.
 """
 
@@ -32,6 +34,9 @@ from typing import Callable
 
 # (checkout, workload, seed, seconds) -> the run's standard output.
 Runner = Callable[[Path, str, int, float], str]
+
+# The least difference in attempted ops, as a share of the base run's, that a pair's extra peak_rss_mb is read against.
+MIN_EXTRA_OPS = 0.05
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> str:
@@ -98,12 +103,13 @@ def summary_lines(base: list[dict], change: list[dict], metrics: list[dict]) -> 
 
 def attempted_line(base: list[dict], change: list[dict]) -> str:
     """Each side's median and quartiles of attempted ops per run, the change/base ratio of medians, and
-    the median over pairs of the change's extra ``peak_rss_mb`` per extra attempted op, in bytes
-    (``n/a`` when every pair's op counts tie)."""
+    the median over pairs of the change's extra ``peak_rss_mb`` per extra attempted op, in bytes, over the
+    pairs whose op counts differ by at least ``MIN_EXTRA_OPS`` of the base run's (``n/a`` when none do)."""
     bq, cq = (quartiles([r["attempted"] for r in side]) for side in (base, change))
     ratio = f"{cq[1] / bq[1]:.3f}" if bq[1] else "n/a"
     per_op = [(c["metrics"]["peak_rss_mb"]["value"] - b["metrics"]["peak_rss_mb"]["value"]) * 2**20
-              / (c["attempted"] - b["attempted"]) for b, c in zip(base, change) if c["attempted"] != b["attempted"]]
+              / (c["attempted"] - b["attempted"]) for b, c in zip(base, change)
+              if abs(c["attempted"] - b["attempted"]) >= max(MIN_EXTRA_OPS * b["attempted"], 1)]
     rss = f"{statistics.median(per_op):.0f} B" if per_op else "n/a"
     return (f"attempted (ops per run, which peak_rss_mb grows with): base {spread(bq)}  change {spread(cq)}  "
             f"change/base {ratio}  peak_rss_mb per extra op {rss}")

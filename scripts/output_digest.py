@@ -14,11 +14,15 @@ for every tuple of its agents, under the scenario's kind and under each
 semantics kind; then both traces of the five seeded 4-agent, 12-argument
 games of ``tests/independent_replay.wide_awareness_game``, in which every
 agent is aware of the whole global frame, so verdicts solve and detect
-deception (synth-replay's verdicts never solve); last, both traces of each
+deception (synth-replay's verdicts never solve); then both traces of each
 fixture with its last step repeated, which halt at the repeat with a "no
-repetition" error.  The checkout's own ``src/``, ``bench/`` and ``tests/``
-are put first on the import path, so running the script in two checkouts
-compares their code.
+repetition" error; last, straight from the solver, the sorted
+:func:`mmarg.semantics` extensions of every kind on the 1,000 seed-0
+frames of the benchmark's solve-dense workload (13 arguments, density 0.3)
+and on the seeded :func:`mmarg.random_frame` frames of 25 arguments at
+density 0.3, 30 at 0.15 and 40 at 0.1.  The checkout's own ``src/``,
+``bench/`` and ``tests/`` are put first on the import path, so running the
+script in two checkouts compares their code.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from mmarg import (  # noqa: E402
     VIEWS,
+    ArgumentationFrame,
     SemanticsKind,
     bundled_scenarios,
     dumps_scenario,
@@ -43,12 +49,17 @@ from mmarg import (  # noqa: E402
     fixture_path,
     load_scenario,
     query,
+    random_frame,
     run,
+    semantics,
     sorted_extensions,
     state_at,
 )
 from independent_replay import wide_awareness_game  # noqa: E402
-from workloads import synth_generate  # noqa: E402
+from workloads import dense_generate, synth_generate  # noqa: E402
+
+# (arguments, density) of the seeded frames solved directly, each drawn as the certificate tests draw it.
+SEEDED = [(25, 0.3), (30, 0.15), (40, 0.1)]
 
 
 def outputs():
@@ -78,6 +89,10 @@ def outputs():
         halted = replace(sc, script=sc.script + sc.script[-1:])
         for ws in (False, True):
             yield dumps_trace(run(halted, with_semantics=ws))
+    frames = [ArgumentationFrame.of(args, attacks) for args, attacks in dense_generate(0)]
+    frames += [random_frame(random.Random(n * 100 + int(density * 100)), n, density) for n, density in SEEDED]
+    for f, kind in itertools.product(frames, SemanticsKind):
+        yield json.dumps(sorted_extensions(semantics(kind, f)))
 
 
 def main() -> int:

@@ -1,16 +1,17 @@
 """Exact acceptability semantics for argumentation frames, all of them closed.
 
 The grounded extension is the least fixpoint of the defense operator.
-Complete extensions are enumerated through a three-valued labelling search
-(every argument ends up accepted, rejected, or undecided) that starts from
-the grounded labelling, which every complete labelling extends: the
-grounded set is accepted, everything it attacks is rejected, and only the
-arguments left undecided are searched, the most-attacking first.  Each
-label's obligation is checked when the argument is labelled and again when
-its last possible supporting attacker is, so every leaf is a complete
-labelling.  Preferred extensions, the maximal admissible sets, have their
-own IN/not-IN search (Nofal, Atkinson and Dunne, AIJ 207, 2014), independent
-of that one.  All results are exact sets of extensions, never approximations.
+Every complete labelling (each argument accepted, rejected or undecided)
+extends the grounded one, so :func:`semantics` computes that labelling
+once: the grounded set accepted, everything it attacks rejected.  Both
+searches start from it, take the arguments it leaves undecided in one
+order, the most-attacking first, and share one refusal of frames too deep
+to recurse through.  Complete extensions come from a three-valued
+labelling search that checks each label's obligation when the argument is
+labelled and again when its last possible supporting attacker is, so every
+leaf is a complete labelling.  Preferred extensions, the maximal admissible
+sets, come from an IN/not-IN search (Nofal, Atkinson and Dunne, AIJ 207,
+2014).  All results are exact sets of extensions, never approximations.
 
 The brute-force subset filter in :mod:`mmarg.oracle` re-derives the same
 semantics straight from the definitions and deliberately shares none of
@@ -33,31 +34,16 @@ class SemanticsKind(str, enum.Enum):
     GROUNDED = "grounded"
 
 
-def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[int]:
-    """All accepted-sets of legal complete labellings, as bitmasks.
-
-    Every complete labelling extends the grounded one, so the grounded set
-    starts accepted, everything it attacks starts rejected, and only the
-    arguments left over are searched, most targets first, then fewest
-    attackers, then index order.  Each obligation is checked at the node
-    where it can first fail, so every leaf is a complete labelling, whatever
-    the order.  Accepting demands no self-attack and no accepted or undecided
-    attacker/target so far; later neighbours can then be neither.  Rejecting
-    demands an attacker that is accepted, or unassigned and not
-    self-attacking.  Leaving undecided demands no accepted neighbour and an
-    attacker that is undecided, itself, or unassigned.  An argument labelled
-    otherwise than accepted may have been the last such attacker of a
-    rejected or undecided target, so those targets are re-checked then.
-    The search recurses once per undecided argument; past the interpreter's
-    recursion limit it raises ``ValueError`` naming how many there are.
+def _complete_masks(free: list[int], attackers: list[int], targets: list[int], in_m: int, out_m: int) -> list[int]:
+    """All accepted-sets of legal complete labellings that extend the labelling ``in_m``/``out_m``, as
+    bitmasks, labelling ``free`` in its order.  Each obligation is checked at the node where it can first
+    fail, so every leaf is a complete labelling, whatever the order.  Accepting demands no self-attack and
+    no accepted or undecided attacker/target so far; later neighbours can then be neither.  Rejecting
+    demands an attacker that is accepted, or unassigned and not self-attacking.  Leaving undecided demands
+    no accepted neighbour and an attacker that is undecided, itself, or unassigned.  An argument labelled
+    otherwise than accepted may have been the last such attacker of a rejected or undecided target, so
+    those targets are re-checked then.
     """
-    g = _grounded_mask(n, attackers, targets)
-    g_out = _attacked_by(g, targets)
-    decided = g | g_out
-    free = sorted((i for i in range(n) if not decided >> i & 1),
-                  key=lambda i: (-targets[i].bit_count(), attackers[i].bit_count()))
-    if not free:
-        return [g]
     loops = sum(1 << i for i in free if attackers[i] >> i & 1)
     # later[k]: the free arguments still unassigned once free[k] is labelled.
     later = [0] * len(free)
@@ -93,24 +79,16 @@ def _complete_masks(n: int, attackers: list[int], targets: list[int]) -> list[in
         if not (att | tgt) & in_m and att & (un_m | b | rest):
             search(k + 1, in_m, out_m, un_m | b)
 
-    try:
-        search(0, g, g_out, 0)
-    except RecursionError:
-        msg = f"frame too deep to solve: {len(free)} undecided arguments exceed the recursion limit"
-        raise ValueError(msg) from None
+    search(0, in_m, out_m, 0)
     return results
 
 
-def _preferred_masks(n: int, attackers: list[int], targets: list[int]) -> list[int]:
-    """The maximal admissible sets, which are the preferred extensions, as bitmasks: a search in
-    ``_complete_masks``' order from the grounded set, IN before not-IN.  A node is pruned when an attacker
-    of IN is attacked neither by IN nor by an argument still allowed IN (unassigned, not self-attacking, in
-    no conflict with IN), or when IN and the allowed arguments fit in a set already found; so a superset
-    is found before its subsets, and every leaf is maximal."""
-    g = _grounded_mask(n, attackers, targets)
-    hit = _attacked_by(g, targets)
-    free = sorted((i for i in range(n) if not (g | hit) >> i & 1),
-                  key=lambda i: (-targets[i].bit_count(), attackers[i].bit_count()))
+def _preferred_masks(free: list[int], attackers: list[int], targets: list[int], in_m: int, out_m: int) -> list[int]:
+    """The maximal admissible sets containing the admissible set ``in_m``, which attacks ``out_m``: the
+    preferred extensions, as bitmasks, deciding ``free`` in its order, IN before not-IN.  A node is pruned
+    when an attacker of IN is attacked neither by IN nor by an argument still allowed IN (unassigned, not
+    self-attacking, in no conflict with IN), or when IN and the allowed arguments fit in a set already
+    found; so a superset is found before its subsets, and every leaf is maximal."""
     results: list[int] = []
 
     def search(k: int, in_m: int, hit: int, threat: int, allowed: int) -> None:
@@ -127,11 +105,7 @@ def _preferred_masks(n: int, attackers: list[int], targets: list[int]) -> list[i
         search(k + 1, in_m | 1 << i, hit | targets[i], threat | attackers[i], allowed & ~(1 << i | targets[i] | attackers[i]))
         search(k + 1, in_m, hit, threat, allowed ^ 1 << i)
 
-    try:
-        search(0, g, hit, _attacked_by(g, attackers), sum(1 << i for i in free if not attackers[i] >> i & 1))
-    except RecursionError:
-        msg = f"frame too deep to solve: {len(free)} undecided arguments exceed the recursion limit"
-        raise ValueError(msg) from None
+    search(0, in_m, out_m, _attacked_by(in_m, attackers), sum(1 << i for i in free if not attackers[i] >> i & 1))
     return results
 
 
@@ -161,7 +135,14 @@ def _attacked_by(in_m: int, targets: list[int]) -> int:
 
 def semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
     """The complete, preferred (maximal admissible) or grounded extensions of ``f``, the grounded one
-    wrapped as a one-member set.  This is the only way into the search."""
+    wrapped as a one-member set.  This is the only way into the search.
+
+    Every complete labelling, and so every preferred one, extends the grounded labelling: the grounded
+    set is accepted, everything it attacks rejected.  Both searches start from it and take the arguments
+    it leaves undecided in one order: most targets first, then fewest attackers, then index order.  Each
+    recurses once per undecided argument; past the interpreter's recursion limit either one raises
+    ``ValueError`` naming how many there are.
+    """
     kind = SemanticsKind(kind)
     order = sorted(f.args)
     pos = {a: i for i, a in enumerate(order)}
@@ -170,12 +151,20 @@ def semantics(kind: SemanticsKind, f: ArgumentationFrame) -> ExtensionSet:
     for s, t in f.attacks:
         attackers[pos[t]] |= 1 << pos[s]
         targets[pos[s]] |= 1 << pos[t]
-    if kind is SemanticsKind.GROUNDED:
-        masks = [_grounded_mask(len(order), attackers, targets)]
-    elif kind is SemanticsKind.PREFERRED:
-        masks = _preferred_masks(len(order), attackers, targets)
-    else:
-        masks = _complete_masks(len(order), attackers, targets)
+    g = _grounded_mask(len(order), attackers, targets)
+    masks = [g]
+    if kind is not SemanticsKind.GROUNDED:
+        out_m = _attacked_by(g, targets)
+        free = sorted((i for i in range(len(order)) if not (g | out_m) >> i & 1),
+                      key=lambda i: (-targets[i].bit_count(), attackers[i].bit_count()))
+        try:
+            if free and kind is SemanticsKind.PREFERRED:
+                masks = _preferred_masks(free, attackers, targets, g, out_m)
+            elif free:
+                masks = _complete_masks(free, attackers, targets, g, out_m)
+        except RecursionError:
+            msg = f"frame too deep to solve: {len(free)} undecided arguments exceed the recursion limit"
+            raise ValueError(msg) from None
     return frozenset(frozenset(order[i] for i in range(len(order)) if m >> i & 1) for m in masks)
 
 

@@ -69,13 +69,18 @@ def run_result(ops_per_s, peak_rss_mb):
 
 
 def test_the_attempted_line_reads_the_extra_peak_rss_per_extra_op_in_bytes():
-    # Attempted ops are 20 per op/s: pairs of 200 and 100 extra ops grow by 0.25 and 0.5 MB, and a tie is skipped.
-    base = [run_result(50, 40.0), run_result(50, 40.0), run_result(50, 40.0)]
-    change = [run_result(60, 40.25), run_result(55, 40.5), run_result(50, 45.0)]
+    # Attempted ops are 20 per op/s: pairs of 200 and 100 extra ops grow by 0.25 and 0.5 MB, and a tie is
+    # skipped, as is a pair whose ops differ by under 5% of the base run's (1040 against 1000), whose
+    # 1 MB drop would otherwise pull the median below zero.
+    base = [run_result(50, 40.0)] * 4
+    change = [run_result(60, 40.25), run_result(55, 40.5), run_result(50, 45.0), run_result(52, 39.0)]
     line = ab_bench.attempted_line(base, change)
     # The median of 0.25 MiB / 200 = 1310.72 B and 0.5 MiB / 100 = 5242.88 B.
     assert line.endswith("  peak_rss_mb per extra op 3277 B")
     assert ab_bench.attempted_line(base, base[::-1]).endswith("  peak_rss_mb per extra op n/a")
+    assert ab_bench.attempted_line(base[3:], change[3:]).endswith("  peak_rss_mb per extra op n/a")
+    # 1050 against 1000 ops is 5%, so that pair counts.
+    assert ab_bench.attempted_line(base[:1], [run_result(52.5, 40.5)]).endswith("  peak_rss_mb per extra op 10486 B")
 
 
 def test_lower_is_better_metrics_count_a_drop_as_a_win():

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -36,3 +37,11 @@ def test_the_output_digest_prints_a_count_and_a_sha256():
     done = run_python(str(ROOT / "scripts" / "output_digest.py"))
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(r"[1-9][0-9]* [0-9a-f]{64}\n", done.stdout), done.stdout
+
+
+def test_each_mutant_of_the_harness_names_a_text_that_occurs_once_in_its_file():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    counts = {m.name: (ROOT / m.file).read_text(encoding="utf-8").count(m.old) for m in mutants.MUTANTS}
+    assert counts == dict.fromkeys(counts, 1)
